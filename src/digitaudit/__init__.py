@@ -9,7 +9,6 @@ Ships a batch CLI (``digitaudit``) for auditing CSV time series.
 
 __version__ = "0.1.0"
 
-from ._kernels import kernel_backend
 from .digit_extract import (
     REAL_RENDER_DIGITS,
     SignificantDigits,
@@ -41,7 +40,6 @@ from .errors import (
     EmptySeriesError,
     IngestError,
     NonPositiveImageError,
-    UniformApproximationWarning,
     UnsupportedPositionError,
 )
 from .gof_tests import (
@@ -86,7 +84,6 @@ from .transforms import (
 
 __all__ = [
     "__version__",
-    "kernel_backend",
     # laws
     "ALL_DIGITS", "FIRST_DIGITS", "DigitLawModel", "LawKind",
     "benford_first_digit_prob", "string_prob", "nth_digit_prob", "uniform_prob",
@@ -113,5 +110,5 @@ __all__ = [
     # errors
     "ConfigError", "DegenerateHistogramWarning", "DigitAuditError", "DomainError",
     "EmptySeriesError", "IngestError", "NonPositiveImageError",
-    "UniformApproximationWarning", "UnsupportedPositionError",
+    "UnsupportedPositionError",
 ]

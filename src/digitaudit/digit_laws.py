@@ -17,20 +17,27 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import _kernels
-from .errors import DomainError, UniformApproximationWarning
+from .errors import DomainError
 
 FIRST_DIGITS = tuple(range(1, 10))
 ALL_DIGITS = tuple(range(10))
 
-#: Positions above this return the uniform value 0.1 with a warning: the
-#: exact sum differs from 0.1 by less than 1e-9 there, below what the
-#: direct 9*10^(n-2)-term summation can resolve.
-UNIFORM_TAIL_POSITION = 9
+_LN10 = math.log(10.0)
+
+# Prefix terms summed exactly: every term of positions 2 and 3.
+_HEAD_TERMS = 90
+
+# From this position on the exact law rounds to 0.1 in double precision
+# for every digit (the deviation is about 1.76e-n).
+_UNIFORM_POSITION = 20
+
+# Bernoulli numbers B_2, B_4, B_6 as (index, value), for the Euler-Maclaurin
+# tail. The tail starts at x >= 1900, where the B_6 term is below 1e-17 and
+# a B_8 term would be below 3e-22.
+_BERNOULLI = ((2, 1 / 6), (4, -1 / 30), (6, 1 / 42))
 
 
 def benford_first_digit_prob(d: int) -> float:
@@ -62,26 +69,51 @@ def nth_digit_prob(d: int, n: int) -> float:
     """Probability that d (0..9) appears as the n-th significant digit, n >= 2.
 
     Sum of log10(1 + 1/(10k + d)) over every possible leading prefix k of
-    length n-1. The distribution approaches uniformity exponentially fast
-    in n; past position UNIFORM_TAIL_POSITION the uniform value 0.1 is
-    returned and a UniformApproximationWarning is emitted.
+    length n-1 (Hill 1995). The sum is evaluated in closed form: the first
+    90 terms exactly, which covers positions 2 and 3 entirely, and the
+    rest by Euler-Maclaurin summation (Abramowitz & Stegun 23.1.30) with
+    three Bernoulli terms, within about 1e-16 of the exact law. The
+    distribution approaches uniformity exponentially fast in n, by about
+    1.76e-n; from position 20 on the exact value rounds to 0.1 in double
+    precision and 0.1 is returned.
     """
     _check_digit(d, ALL_DIGITS)
     if n < 2:
         raise DomainError(f"position must be >= 2, got {n} (use benford_first_digit_prob)")
-    if n > UNIFORM_TAIL_POSITION:
-        warnings.warn(
-            f"position {n}: returning uniform value 0.1 (exact sum within 1e-9)",
-            UniformApproximationWarning,
-            stacklevel=2,
-        )
+    if n >= _UNIFORM_POSITION:
         return 0.1
     return _nth_digit_tail(d, n)
 
 
 @lru_cache(maxsize=None)
 def _nth_digit_tail(d: int, n: int) -> float:
-    return _kernels.nth_digit_tail_sum(d, n)
+    lo, hi = 10 ** (n - 2), 10 ** (n - 1)
+    mid = min(lo + _HEAD_TERMS, hi)
+    parts = [math.log1p(1 / (10 * k + d)) for k in range(lo, mid)]
+    if mid < hi:
+        parts += _euler_maclaurin_tail(10 * mid + d, 10 * hi + d)
+    return math.fsum(parts) / _LN10
+
+
+def _euler_maclaurin_tail(xa: int, xb: int) -> list[float]:
+    """Terms whose sum approximates sum log1p(1/x) over x = xa, xa+10, ..., xb-10.
+
+    In the summation variable k, with x = 10k + d and f(k) = log1p(1/x):
+    the integral, from the antiderivative (x*log1p(1/x) + log1p(x))/10;
+    the end correction -(f(b) - f(a))/2; and B_r/r! times the differences
+    of the (r-1)-th derivatives (-1)^(r-2) (r-2)! ((x+1)^-(r-1) - x^-(r-1)) 10^(r-1).
+    """
+    a, b = float(xa), float(xb)
+    fa, fb = math.log1p(1 / xa), math.log1p(1 / xb)
+    parts = [
+        (b * fb - a * fa + math.log((xb + 1) / (xa + 1))) / 10,
+        -(fb - fa) / 2,
+    ]
+    for r, bernoulli in _BERNOULLI:
+        m = r - 1
+        scale = bernoulli / math.factorial(r) * (-1) ** (m - 1) * math.factorial(m - 1) * 10 ** m
+        parts.append(scale * (((b + 1) ** -m - b ** -m) - ((a + 1) ** -m - a ** -m)))
+    return parts
 
 
 def uniform_prob(d: int, position: int = 1) -> float:

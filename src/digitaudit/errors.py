@@ -43,9 +43,5 @@ class IngestError(DigitAuditError, ValueError):
         super().__init__(message)
 
 
-class UniformApproximationWarning(UserWarning):
-    """A digit-position probability was replaced by its uniform limit."""
-
-
 class DegenerateHistogramWarning(UserWarning):
     """A fit was run on a histogram with all mass on a single digit."""

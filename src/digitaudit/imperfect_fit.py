@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .digit_laws import FIRST_DIGITS, imperfect_counts
 from .errors import DegenerateHistogramWarning, DomainError
 from .gof_tests import DigitHistogram
@@ -96,9 +95,9 @@ def fit_imperfect(hist: DigitHistogram) -> ImperfectFitResult:
     s_grid = np.linspace(0.0, 1.0, n_grid)
     digits = np.arange(1.0, 10.0)
     l_matrix = np.log10(1.0 / digits + 1.0 + s_grid[:, None] * digits)
-    obs_arr = np.ascontiguousarray(observed, dtype=np.float64)
+    obs_arr = np.asarray(observed, dtype=np.float64)
 
-    coarse_chi2, coarse_idx = _kernels.imperfect_scan(obs_arr, l_matrix, ns_values)
+    coarse_chi2, coarse_idx = _imperfect_scan(obs_arr, l_matrix, ns_values)
 
     best: tuple[float, float, int] | None = None  # (chi2, s, n_s)
     for i, ns_f in enumerate(ns_values):
@@ -125,6 +124,29 @@ def fit_imperfect(hist: DigitHistogram) -> ImperfectFitResult:
         minimum_location=minimum_location(s_best),
         degenerate=degenerate,
     )
+
+
+def _imperfect_scan(observed, l_matrix, ns_values):
+    """Coarse Pearson scan of the imperfect-law parameter grid.
+
+    observed:  9 first-digit counts, as float64.
+    l_matrix:  precomputed log10(1/d + 1 + s*d), shape (n_s_grid, 9),
+               rows ordered by ascending s.
+    ns_values: candidate integer scales, as float64.
+
+    Returns (best_chi2, best_idx): for every scale, the minimal statistic
+    over the s grid and the row index attaining it (first minimum wins,
+    i.e. ties resolve toward smaller s).
+    """
+    best_chi2 = np.empty(ns_values.shape[0], dtype=np.float64)
+    best_idx = np.empty(ns_values.shape[0], dtype=np.intp)
+    for i in range(ns_values.shape[0]):
+        expected = ns_values[i] * l_matrix
+        chi2 = ((observed - expected) ** 2 / expected).sum(axis=1)
+        j = int(np.argmin(chi2))
+        best_chi2[i] = chi2[j]
+        best_idx[i] = j
+    return best_chi2, best_idx
 
 
 def _golden_min(func, lo: float, hi: float) -> tuple[float, float]:

@@ -51,7 +51,7 @@ def load_csv(path, year_column: str = "year", value_columns=None) -> LoadResult:
 
     value_columns defaults to every non-year column, in header order.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames
         if header is None:
@@ -70,6 +70,7 @@ def load_csv(path, year_column: str = "year", value_columns=None) -> LoadResult:
         points: dict[str, list[tuple[int, Decimal]]] = {c: [] for c in value_columns}
         skipped: dict[str, int] = {c: 0 for c in value_columns}
         seen_years: dict[str, set[int]] = {c: set() for c in value_columns}
+        last_year: dict[str, int] = {}
         rows = 0
         for line, row in enumerate(reader, start=2):
             rows += 1
@@ -95,9 +96,10 @@ def load_csv(path, year_column: str = "year", value_columns=None) -> LoadResult:
                     raise IngestError(f"column {column!r}: value must be positive, got {cell!r}", line=line)
                 if year in seen_years[column]:
                     raise IngestError(f"column {column!r}: duplicate year {year}", line=line)
-                if seen_years[column] and year < max(seen_years[column]):
+                if column in last_year and year < last_year[column]:
                     raise IngestError(f"column {column!r}: year {year} out of order", line=line)
                 seen_years[column].add(year)
+                last_year[column] = year
                 points[column].append((year, value))
 
     series = tuple(TimeSeries(label=c, points=tuple(points[c])) for c in value_columns)
@@ -114,7 +116,7 @@ def load_csv(path, year_column: str = "year", value_columns=None) -> LoadResult:
 def load_regimes(path) -> RegimeSpec:
     """Read a regime file: CSV with header name,start_year,end_year."""
     triples = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         required = {"name", "start_year", "end_year"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

@@ -1,17 +1,29 @@
 """Digit-law evaluation: reference values, normalization, structure."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from digitaudit import digit_laws as laws
-from digitaudit.errors import DomainError, UniformApproximationWarning
+from digitaudit.errors import DomainError
 
 
 def brute_nth_digit_prob(d, n):
     """Independent loop oracle for the position-n digit probability."""
     return math.fsum(math.log10(1 + 1 / (10 * k + d)) for k in range(10 ** (n - 2), 10 ** (n - 1)))
+
+
+def loggamma_nth_digit_prob(d, n):
+    """Closed-form oracle: the prefix sum telescopes into log-gamma values."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(10) ** (n - 2), mpmath.mpf(10) ** (n - 1)
+        hi, lo = mpmath.mpf(d + 1) / 10, mpmath.mpf(d) / 10
+        total = (mpmath.loggamma(b + hi) - mpmath.loggamma(a + hi)
+                 - mpmath.loggamma(b + lo) + mpmath.loggamma(a + lo))
+        return float(total / mpmath.log(10))
 
 
 class TestFirstDigitLaw:
@@ -82,9 +94,12 @@ class TestNthDigitLaw:
         assert all(a > b for a, b in zip(deviations, deviations[1:]))
         assert deviations[2] < 0.01  # position 4
 
-    def test_distant_positions_flagged_uniform(self):
-        with pytest.warns(UniformApproximationWarning):
-            assert laws.nth_digit_prob(3, 10) == 0.1
+    @pytest.mark.parametrize("n", range(2, 26))
+    def test_matches_loggamma_oracle_without_warning(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [laws.nth_digit_prob(d, n) for d in range(10)]
+        assert values == pytest.approx([loggamma_nth_digit_prob(d, n) for d in range(10)], abs=1e-15)
 
     def test_position_one_rejected(self):
         with pytest.raises(DomainError):

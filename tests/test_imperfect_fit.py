@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from digitaudit.errors import DegenerateHistogramWarning, DomainError
 from digitaudit.gof_tests import DigitHistogram
 from digitaudit.imperfect_fit import (
     ImperfectFitResult,
+    _imperfect_scan,
     fit_chi2,
     fit_imperfect,
     imperfect_curve,
@@ -140,3 +142,18 @@ class TestFit:
         assert fit_chi2(observed, 0.004, 60) == pytest.approx(
             pearson_oracle(observed, 0.004, 60), abs=1e-12
         )
+
+
+def test_scan_matches_direct_evaluation():
+    observed = np.asarray([19, 11, 8, 6, 5, 5, 4, 4, 3], dtype=np.float64)
+    total = int(round(observed.sum()))
+    ns_values = np.arange(math.ceil(total / 2), 2 * total + 1, dtype=np.float64)
+    s_grid = np.linspace(0.0, 1.0, 1001)
+    digits = np.arange(1.0, 10.0)
+    l_matrix = np.log10(1.0 / digits + 1.0 + s_grid[:, None] * digits)
+    chi2, idx = _imperfect_scan(observed, l_matrix, ns_values)
+    for i in (0, len(ns_values) // 2, len(ns_values) - 1):
+        ns = ns_values[i]
+        expected = ns * l_matrix[idx[i]]
+        direct = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2[i] == pytest.approx(direct, abs=1e-12)

@@ -169,6 +169,22 @@ class TestCli:
         assert "income/raw" in out
         assert "report written" in out
 
+    def test_bom_crlf_input(self, budget_path, regimes_path, tmp_path):
+        """Spreadsheet exports: a UTF-8 byte-order mark and CRLF line ends."""
+        from digitaudit import load_csv, load_regimes
+
+        converted = []
+        for source in (budget_path, regimes_path):
+            text = open(source, encoding="utf-8").read()
+            target = tmp_path / ("bom_" + source.rsplit("/", 1)[-1])
+            target.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
+            converted.append(str(target))
+        budget, regimes = converted
+
+        assert load_csv(budget) == load_csv(budget_path)
+        assert load_regimes(regimes) == load_regimes(regimes_path)
+        assert run_analyze(budget, regimes, tmp_path / "o") == 0
+
     def test_missing_input_is_ingest_error(self, tmp_path):
         assert main(["analyze", "--input", str(tmp_path / "nope.csv"),
                      "--outdir", str(tmp_path)]) == 3

@@ -84,6 +84,11 @@ class TestLoadCsv:
         with pytest.raises(IngestError, match="duplicate"):
             load_csv(path)
 
+    def test_revisited_year_is_duplicate_not_out_of_order(self, tmp_path):
+        path = self.write(tmp_path, "year,income\n1922,10\n1923,20\n1922,30\n")
+        with pytest.raises(IngestError, match="line 4: column 'income': duplicate year 1922"):
+            load_csv(path)
+
     def test_out_of_order_year_rejected(self, tmp_path):
         path = self.write(tmp_path, "year,income\n1930,10\n1925,20\n")
         with pytest.raises(IngestError, match="out of order"):
