@@ -220,7 +220,7 @@ def _cmd_fit(args) -> int:
 def _load_histogram(path) -> DigitHistogram:
     """Accept both bare digit,count files and audit histogram exports."""
     counts: dict[int, float] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
         if "digit" not in fields or "count" not in fields:

@@ -78,8 +78,7 @@ def nth_digit_prob(d: int, n: int) -> float:
     precision and 0.1 is returned.
     """
     _check_digit(d, ALL_DIGITS)
-    if n < 2:
-        raise DomainError(f"position must be >= 2, got {n} (use benford_first_digit_prob)")
+    _check_position(n, 2)
     if n >= _UNIFORM_POSITION:
         return 0.1
     return _nth_digit_tail(d, n)
@@ -118,8 +117,7 @@ def _euler_maclaurin_tail(xa: int, xb: int) -> list[float]:
 
 def uniform_prob(d: int, position: int = 1) -> float:
     """Uniform digit reference: 1/9 on {1..9} for position 1, else 1/10."""
-    if position < 1:
-        raise DomainError(f"position must be >= 1, got {position}")
+    _check_position(position, 1)
     domain = FIRST_DIGITS if position == 1 else ALL_DIGITS
     _check_digit(d, domain)
     return 1.0 / len(domain)
@@ -196,6 +194,11 @@ def _check_digit(d, domain) -> None:
         raise DomainError(f"digit {d!r} outside domain {domain[0]}..{domain[-1]}")
 
 
+def _check_position(n, lowest: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < lowest:
+        raise DomainError(f"position must be an integer >= {lowest}, got {n!r}")
+
+
 def _check_imperfect_params(s: float, n_s: int) -> None:
     if not (float(s) >= 0.0) or not math.isfinite(float(s)):
         raise DomainError(f"curl parameter s must be >= 0, got {s}")
@@ -245,8 +248,7 @@ class DigitLawModel:
 
     @classmethod
     def nth_digit(cls, position: int) -> "DigitLawModel":
-        if position < 1:
-            raise DomainError(f"position must be >= 1, got {position}")
+        _check_position(position, 1)
         return cls(LawKind.NTH_DIGIT, position=position)
 
     @classmethod

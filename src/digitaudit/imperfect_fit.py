@@ -16,10 +16,28 @@ Search protocol (deterministic, reproducible):
 
 The enlarged family contains the plain first-digit law (s = 0, N_s = N),
 so the optimal fit never does worse than it on the search grid.
+
+Before the per-scale search, scales that can neither win nor tie are
+dropped by a certificate; the protocol and its results are unchanged.
+Fix s and let l_d(s) = log10(1/d + 1 + s*d), A(s) = sum o_d^2/l_d(s),
+B(s) = sum l_d(s) and T = sum o_d; then chi2(N, s) = A/N - 2T + N*B.
+An upper bound U on the fitted chi2 is one directly scored grid point,
+taken where this formula is smallest at the integer scales next to
+sqrt(A/B). Each 1/l_d is convex with a second derivative that falls
+with s, and each l_d is concave, so d2chi2/ds2 <= A''(0)/N on [0, 1];
+a refined s therefore scores at least the smaller value at its grid
+cell's ends minus A''(0)*h^2/(8N), with h the grid step. A scale is
+searched only when some grid s gives
+B*N^2 - (2T + U + slack)*N + A - A''(0)*h^2/8 <= 0, where a small slack
+absorbs rounding; every grid s yields an interval of N, and their union,
+widened by one on each side, is searched in ascending order. The formula
+cancels badly near chi2 = 0 and serves only for these bounds; every
+reported value is scored directly.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,6 +52,8 @@ S_GRID_STEP = 1e-4
 S_REFINE_TOL = 1e-7
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -96,6 +116,7 @@ def fit_imperfect(hist: DigitHistogram) -> ImperfectFitResult:
     digits = np.arange(1.0, 10.0)
     l_matrix = np.log10(1.0 / digits + 1.0 + s_grid[:, None] * digits)
     obs_arr = np.asarray(observed, dtype=np.float64)
+    ns_values = _candidate_scales(obs_arr, l_matrix, ns_values)
 
     coarse_chi2, coarse_idx = _imperfect_scan(obs_arr, l_matrix, ns_values)
 
@@ -124,6 +145,52 @@ def fit_imperfect(hist: DigitHistogram) -> ImperfectFitResult:
         minimum_location=minimum_location(s_best),
         degenerate=degenerate,
     )
+
+
+def _candidate_scales(observed, l_matrix, ns_values):
+    """The scales of ns_values that can win or tie the fit, ascending.
+
+    Arguments are those of _imperfect_scan, with l_matrix rows on the
+    uniform grid of step S_GRID_STEP from s = 0; the certificate is in
+    the module docstring.
+    """
+    total = float(observed.sum())
+    a = (observed**2 / l_matrix).sum(axis=1)
+    b = l_matrix.sum(axis=1)
+
+    ns_lo, ns_hi = ns_values[0], ns_values[-1]
+    root = np.sqrt(a / b)
+    scales = np.clip(np.stack([np.floor(root), np.ceil(root)]), ns_lo, ns_hi)
+    k, j = np.unravel_index(np.argmin(a / scales - 2.0 * total + scales * b), scales.shape)
+    expected = scales[k, j] * l_matrix[j : j + 1]
+    upper = float(((observed - expected) ** 2 / expected).sum(axis=1)[0])
+
+    # A''(0) = sum o_d^2 * (2*l'^2/l^3 + |l''|/l^2), all at s = 0
+    digits = np.arange(1.0, 10.0)
+    x0 = 1.0 / digits + 1.0
+    l0 = np.log10(x0)
+    l1 = digits / (x0 * math.log(10.0))
+    l2 = l1 * l1 * math.log(10.0)
+    curvature = float((observed**2 * (2.0 * l1 * l1 / l0**3 + l2 / l0**2)).sum())
+
+    slack = 1e-9 * (total + max(1.0, upper))
+    p = 2.0 * total + upper + slack
+    c = a - curvature * S_GRID_STEP**2 / 8.0
+    disc = p * p - 4.0 * b * c
+    real = disc >= 0.0
+    sq, two_b = np.sqrt(disc[real]), 2.0 * b[real]
+    lo = np.maximum(np.ceil((p - sq) / two_b - 1.0), ns_lo)
+    hi = np.minimum(np.floor((p + sq) / two_b + 1.0), ns_hi)
+    hit = lo <= hi
+    size = ns_values.shape[0] + 1
+    starts = np.bincount((lo[hit] - ns_lo).astype(np.intp), minlength=size)
+    stops = np.bincount((hi[hit] - ns_lo + 1).astype(np.intp), minlength=size)
+    kept = ns_values[np.cumsum(starts - stops)[:-1] > 0]
+    logger.debug(
+        "imperfect fit: kept %d of %d scales, upper bound chi2 %.17g",
+        kept.shape[0], ns_values.shape[0], upper,
+    )
+    return kept
 
 
 def _imperfect_scan(observed, l_matrix, ns_values):

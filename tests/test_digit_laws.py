@@ -109,6 +109,15 @@ class TestNthDigitLaw:
         with pytest.raises(DomainError):
             laws.nth_digit_prob(10, 2)
 
+    @pytest.mark.parametrize("n", [3.0, 2.5, True, "3"])
+    def test_non_integer_position_rejected(self, n):
+        with pytest.raises(DomainError):
+            laws.nth_digit_prob(3, n)
+        with pytest.raises(DomainError):
+            laws.DigitLawModel.nth_digit(n)
+        with pytest.raises(DomainError):
+            laws.uniform_prob(3, n)
+
 
 class TestUniform:
     def test_values(self):

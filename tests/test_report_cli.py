@@ -235,6 +235,15 @@ class TestCli:
         assert "n_s = 63" in out
         assert "s = 0.00224" in out
 
+    def test_fit_bom_crlf_histogram(self, tmp_path, capsys):
+        hist = tmp_path / "hist.csv"
+        rows = "digit,count\r\n1,19\r\n2,11\r\n3,8\r\n4,6\r\n5,5\r\n6,5\r\n7,4\r\n8,4\r\n9,3\r\n"
+        hist.write_bytes(b"\xef\xbb\xbf" + rows.encode("utf-8"))
+        assert main(["fit", "--histogram", str(hist)]) == 0
+        out = capsys.readouterr().out
+        assert "n_s = 63" in out
+        assert "s = 0.00224" in out
+
     def test_fit_accepts_audit_export(self, budget_path, regimes_path, tmp_path, capsys):
         assert run_analyze(budget_path, regimes_path, tmp_path / "o") == 0
         capsys.readouterr()
