@@ -23,8 +23,9 @@ from .errors import DomainError
 
 #: Significant digits kept when rendering a computed real before digit
 #: extraction. 12 sits between double-precision noise (~15-16 digits) and
-#: the deepest digit position this package analyzes (4th), so genuine
-#: structure survives while 1-ulp noise cannot flip a digit.
+#: the deepest position the report reads (positions 1-4 are tabulated,
+#: 1-2 tested), so genuine structure survives while 1-ulp noise cannot
+#: flip a digit.
 REAL_RENDER_DIGITS = 12
 
 _RENDER_CONTEXT = Context(prec=REAL_RENDER_DIGITS, rounding=ROUND_HALF_EVEN)

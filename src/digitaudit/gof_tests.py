@@ -14,10 +14,12 @@ is applied, but results flag expected counts below 5 as a caveat.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 
 from . import digit_laws
-from .digit_extract import significant_digits, significant_digits_from_real
+from .digit_extract import REAL_RENDER_DIGITS, significant_digits, significant_digits_from_real
 from .errors import DomainError, EmptySeriesError, UnsupportedPositionError
 from .series import RegimeSpec, TimeSeries, partition as partition_series
 from .transforms import TransformKind, TransformName, apply_transform
@@ -87,20 +89,16 @@ class DigitHistogram:
     def from_digits(cls, position, digits, regime_labels=None) -> "DigitHistogram":
         """Tally a digit sequence; regime_labels, if given, align with it."""
         digits = list(digits)
-        counts: dict[int, float] = {}
-        for d in digits:
-            counts[d] = counts.get(d, 0) + 1
         breakdown = None
         if regime_labels is not None:
             regime_labels = list(regime_labels)
             if len(regime_labels) != len(digits):
                 raise DomainError("regime labels must align with the digit sequence")
             breakdown = {}
-            for d, lab in zip(digits, regime_labels):
-                name = lab if lab is not None else "unassigned"
-                breakdown.setdefault(name, {})
-                breakdown[name][d] = breakdown[name].get(d, 0) + 1
-        return cls.from_counts(position, counts, breakdown)
+            for (lab, d), count in Counter(zip(regime_labels, digits)).items():
+                regime = breakdown.setdefault(lab if lab is not None else "unassigned", {})
+                regime[d] = regime.get(d, 0) + count
+        return cls.from_counts(position, Counter(digits), breakdown)
 
     def domain(self) -> tuple[int, ...]:
         return digit_laws.FIRST_DIGITS if self.position == 1 else digit_laws.ALL_DIGITS
@@ -216,13 +214,61 @@ class BatteryResult:
 
 
 def digits_of_points(points, exact: bool, positions=(1, 2)) -> dict[int, list[int]]:
-    """Extract the requested digit positions from transformed points."""
-    out: dict[int, list[int]] = {k: [] for k in positions}
-    for point in points:
-        sig = significant_digits(point.value) if exact else significant_digits_from_real(point.value)
-        for k in positions:
-            out[k].append(sig.digit_at(k))
+    """Extract the requested digit positions from transformed points.
+
+    Exact Decimal values are read from their stored digits. A computed
+    float is rendered once with format(v, '.11e'): Python's float
+    formatting rounds the exact binary value half-even, as round_real
+    does, so its 12 digits are those of significant_digits_from_real.
+    Any other value, and any value the checks refuse, takes the
+    significant_digits / significant_digits_from_real path.
+    """
+    if points and any(k < 1 for k in positions):
+        raise DomainError(f"digit position must be >= 1, got {min(positions)}")
+    if exact:
+        rows = [_stored_digits(p.value) for p in points]
+        return {k: [row[k - 1] if len(row) >= k else 0 for row in rows] for k in positions}
+    texts = [
+        format(v, ".11e") if type(v) is float and 0.0 < v < math.inf else _rendered(v)
+        for v in (p.value for p in points)
+    ]
+    out = {}
+    for k in positions:
+        # "d.ddddddddddde+XX": position 1 at index 0, position k <= 12 at index k
+        index = 0 if k == 1 else k
+        out[k] = [_DIGIT[t[index]] for t in texts] if k <= REAL_RENDER_DIGITS else [0] * len(texts)
     return out
+
+
+_DIGIT = {str(d): d for d in range(10)}
+
+
+def _stored_digits(value) -> tuple[int, ...]:
+    """Significant digits of an exact value, leading digit first."""
+    if type(value) is Decimal:
+        sign, digits, exponent = value.as_tuple()
+        if not sign and type(exponent) is int and digits[0]:
+            return digits
+    return significant_digits(value).digits
+
+
+def _rendered(value) -> str:
+    """A computed real outside the float fast path, in the '.11e' layout."""
+    return format(significant_digits_from_real(value).to_decimal(), ".11e")
+
+
+def _kept_histograms(series, labels, kept, exact, positions) -> dict[int, DigitHistogram]:
+    """Digit histograms of a variant's kept points at each position.
+
+    labels are the regime labels of every series point (or None); they
+    are narrowed to the kept points' years for the breakdown.
+    """
+    kept_labels = None
+    if labels is not None:
+        kept_years = {p.year for p in kept}
+        kept_labels = [lab for (year, _), lab in zip(series.points, labels) if year in kept_years]
+    digit_map = digits_of_points(kept, exact, positions)
+    return {k: DigitHistogram.from_digits(k, digit_map[k], kept_labels) for k in positions}
 
 
 def run_battery(series: TimeSeries, transform: TransformKind | None = None,
@@ -234,43 +280,25 @@ def run_battery(series: TimeSeries, transform: TransformKind | None = None,
     that excludes every point raises EmptySeriesError.
     """
     series.require_nonempty()
-    transform = transform or TransformKind.identity()
     regime_labels = partition_series(series, regimes).labels if regimes is not None else None
+    kinds = [TransformKind.identity()]
+    if transform is not None and transform.name is not TransformName.IDENTITY:
+        kinds.append(transform)
 
     variants: dict[str, VariantBattery] = {}
-    raw = apply_transform(series, TransformKind.identity())
-    variants["raw"] = _variant_battery("raw", raw.analyzable(), True, 0, regime_labels)
-
-    if transform.name is not TransformName.IDENTITY:
-        transformed = apply_transform(series, transform, regimes)
-        kept = transformed.analyzable()
+    for kind in kinds:
+        outcome = apply_transform(series, kind, regimes)
+        kept = outcome.analyzable()
         if not kept:
             raise EmptySeriesError(
-                f"transform {transform.variant_label()} excluded every point "
-                f"({transformed.excluded_for_analysis} of {len(series)})"
+                f"transform {kind.variant_label()} excluded every point "
+                f"({outcome.excluded_for_analysis} of {len(series)})"
             )
-        kept_years = {p.year for p in kept}
-        kept_labels = None
-        if regime_labels is not None:
-            kept_labels = [
-                lab for (year, _), lab in zip(series.points, regime_labels) if year in kept_years
-            ]
-        variants[transform.variant_label()] = _variant_battery(
-            transform.variant_label(), kept, False,
-            transformed.excluded_for_analysis, kept_labels,
+        hists = _kept_histograms(series, regime_labels, kept, outcome.exact, (1, 2))
+        variants[kind.variant_label()] = VariantBattery(
+            variant=kind.variant_label(),
+            excluded=outcome.excluded_for_analysis,
+            histograms=hists,
+            tests=battery_on_histograms(hists[1], hists[2]),
         )
     return BatteryResult(label=series.label, variants=variants)
-
-
-def _variant_battery(variant, points, exact, excluded, regime_labels) -> VariantBattery:
-    digit_map = digits_of_points(points, exact, positions=(1, 2))
-    hists = {
-        k: DigitHistogram.from_digits(k, digit_map[k], regime_labels)
-        for k in (1, 2)
-    }
-    return VariantBattery(
-        variant=variant,
-        excluded=excluded,
-        histograms=hists,
-        tests=battery_on_histograms(hists[1], hists[2]),
-    )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import __version__ as _version
 from .errors import DomainError
-from .gof_tests import DigitHistogram, GofResult, battery_on_histograms, digits_of_points
+from .gof_tests import DigitHistogram, GofResult, _kept_histograms, battery_on_histograms
 from .imperfect_fit import ImperfectFitResult, fit_imperfect
 from .ingest import load_csv, load_regimes
 from .series import Partition, RegimeSpec, TimeSeries, partition as partition_series
@@ -99,17 +99,7 @@ def audit_series(series: TimeSeries, transforms, regimes: RegimeSpec | None = No
                 skipped_reason="all values excluded by transform",
             ))
             continue
-        kept_years = {p.year for p in kept}
-        kept_labels = None
-        if labels is not None:
-            kept_labels = [
-                lab for (year, _), lab in zip(series.points, labels) if year in kept_years
-            ]
-        digit_map = digits_of_points(kept, outcome.exact, positions=HISTOGRAM_POSITIONS)
-        hists = {
-            k: DigitHistogram.from_digits(k, digit_map[k], kept_labels)
-            for k in HISTOGRAM_POSITIONS
-        }
+        hists = _kept_histograms(series, labels, kept, outcome.exact, HISTOGRAM_POSITIONS)
         fit, fit_note = None, None
         if hists[1].total >= 9:
             fit = fit_imperfect(hists[1])

@@ -8,6 +8,7 @@ import pytest
 from digitaudit.errors import DegenerateHistogramWarning, DomainError
 from digitaudit.gof_tests import DigitHistogram
 from digitaudit.imperfect_fit import (
+    MAX_FIT_TOTAL,
     ImperfectFitResult,
     _imperfect_scan,
     fit_chi2,
@@ -136,6 +137,8 @@ class TestFit:
             fit_imperfect(DigitHistogram.from_counts(1, {1: 8}))
         with pytest.raises(DomainError):
             fit_imperfect(DigitHistogram.from_counts(2, {d: 5 for d in range(10)}))
+        with pytest.raises(DomainError, match="at most"):
+            fit_imperfect(DigitHistogram.from_counts(1, {1: MAX_FIT_TOTAL, 2: 1}))
 
     def test_fit_chi2_matches_oracle(self):
         observed = [19, 11, 8, 6, 5, 5, 4, 4, 3]

@@ -244,6 +244,14 @@ class TestCli:
         assert "n_s = 63" in out
         assert "s = 0.00224" in out
 
+    def test_fit_absurd_total_is_domain_error(self, tmp_path, capsys):
+        hist = tmp_path / "hist.csv"
+        hist.write_text("digit,count\n1,1e12\n2,5\n3,4\n", encoding="utf-8")
+        assert main(["fit", "--histogram", str(hist)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: histogram total must be at most")
+        assert "Traceback" not in err
+
     def test_fit_accepts_audit_export(self, budget_path, regimes_path, tmp_path, capsys):
         assert run_analyze(budget_path, regimes_path, tmp_path / "o") == 0
         capsys.readouterr()
