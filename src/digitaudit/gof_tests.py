@@ -14,6 +14,7 @@ is applied, but results flag expected counts below 5 as a caveat.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -213,24 +214,27 @@ class BatteryResult:
         ]
 
 
-def digits_of_points(points, exact: bool, positions=(1, 2)) -> dict[int, list[int]]:
-    """Extract the requested digit positions from transformed points.
+def digits_of_points(values, exact: bool, positions=(1, 2)) -> dict[int, list[int]]:
+    """Extract the requested digit positions from a column of values.
 
-    Exact Decimal values are read from their stored digits. A computed
-    float is rendered once with format(v, '.11e'): Python's float
-    formatting rounds the exact binary value half-even, as round_real
-    does, so its 12 digits are those of significant_digits_from_real.
-    Any other value, and any value the checks refuse, takes the
-    significant_digits / significant_digits_from_real path.
+    An exact Decimal is read from str(v): the mantissa before any
+    exponent, with the point dropped and leading zeros stripped, is its
+    significant-digit string. A computed float is rendered once with
+    format(v, '.11e'): Python's float formatting rounds the exact binary
+    value half-even, as round_real does, so its 12 digits are those of
+    significant_digits_from_real. Any other value, and any value the
+    checks refuse, takes the significant_digits /
+    significant_digits_from_real path.
     """
-    if points and any(k < 1 for k in positions):
+    if values and any(k < 1 for k in positions):
         raise DomainError(f"digit position must be >= 1, got {min(positions)}")
     if exact:
-        rows = [_stored_digits(p.value) for p in points]
-        return {k: [row[k - 1] if len(row) >= k else 0 for row in rows] for k in positions}
+        rows = list(map(_stored_digits, values))
+        # a row shorter than k is an exact decimal padded with zeros
+        return {k: [_DIGIT[row[k - 1:k]] for row in rows] for k in positions}
     texts = [
         format(v, ".11e") if type(v) is float and 0.0 < v < math.inf else _rendered(v)
-        for v in (p.value for p in points)
+        for v in values
     ]
     out = {}
     for k in positions:
@@ -240,16 +244,17 @@ def digits_of_points(points, exact: bool, positions=(1, 2)) -> dict[int, list[in
     return out
 
 
-_DIGIT = {str(d): d for d in range(10)}
+_DIGIT = {"": 0, **{str(d): d for d in range(10)}}
 
 
-def _stored_digits(value) -> tuple[int, ...]:
-    """Significant digits of an exact value, leading digit first."""
+def _stored_digits(value) -> str:
+    """Significant digits of an exact value as a string, leading digit first."""
     if type(value) is Decimal:
-        sign, digits, exponent = value.as_tuple()
-        if not sign and type(exponent) is int and digits[0]:
+        digits = str(value).partition("E")[0].replace(".", "").lstrip("0")
+        # refuses "", NaN, Infinity, a sign, and a lower-case exponent
+        if digits.isdigit():
             return digits
-    return significant_digits(value).digits
+    return "".join(map(str, significant_digits(value).digits))
 
 
 def _rendered(value) -> str:
@@ -257,18 +262,18 @@ def _rendered(value) -> str:
     return format(significant_digits_from_real(value).to_decimal(), ".11e")
 
 
-def _kept_histograms(series, labels, kept, exact, positions) -> dict[int, DigitHistogram]:
-    """Digit histograms of a variant's kept points at each position.
+def _kept_histograms(series, labels, years, values, exact, positions) -> dict[int, DigitHistogram]:
+    """Digit histograms of a variant's kept (years, values) at each position.
 
-    labels are the regime labels of every series point (or None); they
-    are narrowed to the kept points' years for the breakdown.
+    labels are the regime labels of every series point (or None). Kept
+    years are a subsequence of the series' strictly increasing years, so
+    each one's label is found by bisection when some points were dropped.
     """
-    kept_labels = None
-    if labels is not None:
-        kept_years = {p.year for p in kept}
-        kept_labels = [lab for (year, _), lab in zip(series.points, labels) if year in kept_years]
-    digit_map = digits_of_points(kept, exact, positions)
-    return {k: DigitHistogram.from_digits(k, digit_map[k], kept_labels) for k in positions}
+    if labels is not None and len(years) != len(labels):
+        all_years = series.years()
+        labels = [labels[bisect_left(all_years, year)] for year in years]
+    digit_map = digits_of_points(values, exact, positions)
+    return {k: DigitHistogram.from_digits(k, digit_map[k], labels) for k in positions}
 
 
 def run_battery(series: TimeSeries, transform: TransformKind | None = None,
@@ -288,13 +293,13 @@ def run_battery(series: TimeSeries, transform: TransformKind | None = None,
     variants: dict[str, VariantBattery] = {}
     for kind in kinds:
         outcome = apply_transform(series, kind, regimes)
-        kept = outcome.analyzable()
-        if not kept:
+        years, values = outcome.kept()
+        if not values:
             raise EmptySeriesError(
                 f"transform {kind.variant_label()} excluded every point "
                 f"({outcome.excluded_for_analysis} of {len(series)})"
             )
-        hists = _kept_histograms(series, regime_labels, kept, outcome.exact, (1, 2))
+        hists = _kept_histograms(series, regime_labels, years, values, outcome.exact, (1, 2))
         variants[kind.variant_label()] = VariantBattery(
             variant=kind.variant_label(),
             excluded=outcome.excluded_for_analysis,

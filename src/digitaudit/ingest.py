@@ -14,6 +14,7 @@ import logging
 import math
 import pathlib
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -52,8 +53,8 @@ def load_csv(path, year_column: str = "year", value_columns=None) -> LoadResult:
     value_columns defaults to every non-year column, in header order.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
+        reader = csv.reader(handle)
+        header = next(reader, None)
         if header is None:
             raise IngestError(f"{path}: empty file, expected a header row")
         if year_column not in header:
@@ -67,14 +68,22 @@ def load_csv(path, year_column: str = "year", value_columns=None) -> LoadResult:
         if not value_columns:
             raise IngestError(f"{path}: no value columns to load")
 
-        points: dict[str, list[tuple[int, Decimal]]] = {c: [] for c in value_columns}
+        # a name repeated in the header reads its last column
+        index = {name: i for i, name in enumerate(header)}
+        year_at = index[year_column]
+        width = len(header)
+        years: dict[str, list[int]] = {c: [] for c in value_columns}
+        values: dict[str, list[Decimal]] = {c: [] for c in value_columns}
+        cells_at = [(c, index[c], years[c], values[c]) for c in value_columns]
         skipped: dict[str, int] = {c: 0 for c in value_columns}
-        seen_years: dict[str, set[int]] = {c: set() for c in value_columns}
-        last_year: dict[str, int] = {}
         rows = 0
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            if not row:  # blank line
+                continue
             rows += 1
-            year_cell = (row.get(year_column) or "").strip()
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            year_cell = row[year_at].strip()
             if not year_cell:
                 for column in value_columns:
                     skipped[column] += 1
@@ -82,27 +91,29 @@ def load_csv(path, year_column: str = "year", value_columns=None) -> LoadResult:
             try:
                 year = int(year_cell)
             except ValueError as exc:
-                raise IngestError(f"bad year {year_cell!r}", line=line) from exc
-            for column in value_columns:
-                cell = (row.get(column) or "").strip()
+                raise IngestError(f"bad year {year_cell!r}", line=reader.line_num) from exc
+            for column, at, column_years, column_values in cells_at:
+                cell = row[at].strip()
                 if not cell:
                     skipped[column] += 1
                     continue
                 try:
                     value = Decimal(cell)
                 except InvalidOperation as exc:
-                    raise IngestError(f"column {column!r}: bad number {cell!r}", line=line) from exc
+                    raise IngestError(f"column {column!r}: bad number {cell!r}",
+                                      line=reader.line_num) from exc
                 if not value.is_finite() or value <= 0:
-                    raise IngestError(f"column {column!r}: value must be positive, got {cell!r}", line=line)
-                if year in seen_years[column]:
-                    raise IngestError(f"column {column!r}: duplicate year {year}", line=line)
-                if column in last_year and year < last_year[column]:
-                    raise IngestError(f"column {column!r}: year {year} out of order", line=line)
-                seen_years[column].add(year)
-                last_year[column] = year
-                points[column].append((year, value))
+                    raise IngestError(f"column {column!r}: value must be positive, got {cell!r}",
+                                      line=reader.line_num)
+                if column_years and year <= column_years[-1]:
+                    # the column's years so far increase strictly, so bisect finds a repeat
+                    seen = column_years[bisect_left(column_years, year)] == year
+                    problem = f"duplicate year {year}" if seen else f"year {year} out of order"
+                    raise IngestError(f"column {column!r}: {problem}", line=reader.line_num)
+                column_years.append(year)
+                column_values.append(value)
 
-    series = tuple(TimeSeries(label=c, points=tuple(points[c])) for c in value_columns)
+    series = tuple(TimeSeries(label=c, points=tuple(zip(years[c], values[c]))) for c in value_columns)
     for column in value_columns:
         if skipped[column]:
             logger.info("%s: column %r: skipped %d rows with empty cells", path, column, skipped[column])
@@ -121,11 +132,12 @@ def load_regimes(path) -> RegimeSpec:
         required = {"name", "start_year", "end_year"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise IngestError(f"{path}: regime file needs columns name,start_year,end_year")
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 triples.append((row["name"].strip(), int(row["start_year"]), int(row["end_year"])))
-            except (ValueError, AttributeError) as exc:
-                raise IngestError(f"bad regime row {row!r}", line=line) from exc
+            except (ValueError, TypeError, AttributeError) as exc:
+                # reader.line_num is taken before DictReader skips blank lines
+                raise IngestError(f"bad regime row {row!r}", line=reader.reader.line_num) from exc
     return RegimeSpec.from_tuples(triples)
 
 

@@ -86,9 +86,9 @@ def audit_series(series: TimeSeries, transforms, regimes: RegimeSpec | None = No
     variants = []
     for kind in transforms:
         outcome = apply_transform(series, kind, regimes)
-        kept = outcome.analyzable()
+        years, values = outcome.kept()
         excluded = outcome.excluded_for_analysis
-        if not kept:
+        if not values:
             variants.append(VariantAudit(
                 variant=kind.variant_label(),
                 analyzed=0,
@@ -99,7 +99,7 @@ def audit_series(series: TimeSeries, transforms, regimes: RegimeSpec | None = No
                 skipped_reason="all values excluded by transform",
             ))
             continue
-        hists = _kept_histograms(series, labels, kept, outcome.exact, HISTOGRAM_POSITIONS)
+        hists = _kept_histograms(series, labels, years, values, outcome.exact, HISTOGRAM_POSITIONS)
         fit, fit_note = None, None
         if hists[1].total >= 9:
             fit = fit_imperfect(hists[1])
@@ -107,7 +107,7 @@ def audit_series(series: TimeSeries, transforms, regimes: RegimeSpec | None = No
             fit_note = "skipped: fewer than 9 analyzable points"
         variants.append(VariantAudit(
             variant=kind.variant_label(),
-            analyzed=len(kept),
+            analyzed=len(values),
             excluded=excluded,
             histograms=hists,
             tests=battery_on_histograms(hists[1], hists[2]),

@@ -8,8 +8,10 @@ disjoint year intervals used to break histograms down by growth phase.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from operator import itemgetter
 
 from .errors import ConfigError, DomainError, EmptySeriesError
 
@@ -44,10 +46,10 @@ class TimeSeries:
         return cls(label=label, points=tuple(points))
 
     def years(self) -> tuple[int, ...]:
-        return tuple(year for year, _ in self.points)
+        return tuple(map(itemgetter(0), self.points))
 
     def values(self) -> tuple[Decimal, ...]:
-        return tuple(value for _, value in self.points)
+        return tuple(map(itemgetter(1), self.points))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -73,13 +75,17 @@ class Regime:
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    """Ordered, disjoint year intervals. May be empty (nothing assigned)."""
+    """Ordered, disjoint, uniquely named year intervals. May be empty."""
 
     regimes: tuple[Regime, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         prev = None
+        names = set()
         for regime in self.regimes:
+            if regime.name in names:
+                raise ConfigError(f"regime name {regime.name!r} is used twice")
+            names.add(regime.name)
             if prev is not None and regime.start_year <= prev.end_year:
                 raise ConfigError(
                     f"regime {regime.name!r} overlaps or is out of order with {prev.name!r}"
@@ -116,8 +122,17 @@ def partition(series: TimeSeries, spec: RegimeSpec) -> Partition:
     """Label every point of the series with its regime.
 
     Points outside all intervals are reported as unassigned rather than
-    dropped; interval validity is enforced by RegimeSpec itself.
+    dropped; interval validity is enforced by RegimeSpec itself. Years
+    increase strictly and regimes are ordered and disjoint, so each
+    regime covers one contiguous slice of the points.
     """
-    labels = tuple(spec.label_for(year) for year in series.years())
-    counts = tuple((name, sum(1 for lab in labels if lab == name)) for name in spec.names())
-    return Partition(labels=labels, counts=counts, unassigned=sum(1 for lab in labels if lab is None))
+    years = series.years()
+    labels = [None] * len(years)
+    counts = []
+    for regime in spec.regimes:
+        lo = bisect_left(years, regime.start_year)
+        hi = bisect_right(years, regime.end_year, lo)
+        labels[lo:hi] = [regime.name] * (hi - lo)
+        counts.append((regime.name, hi - lo))
+    assigned = sum(count for _, count in counts)
+    return Partition(labels=tuple(labels), counts=tuple(counts), unassigned=len(years) - assigned)

@@ -15,9 +15,12 @@ never fed to digit analysis; it is exposed for completeness.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import compress
+from operator import mul, truediv
 
 from .errors import ConfigError, DomainError, EmptySeriesError, NonPositiveImageError
 from .series import RegimeSpec, TimeSeries, partition as partition_series
@@ -92,31 +95,48 @@ class ExcludedPoint:
 
 @dataclass(frozen=True)
 class TransformedSeries:
-    """Transform output: kept points, rejected points, and exactness.
+    """Transform output as aligned columns, rejected points, and exactness.
 
-    exact is True when values are untouched decimals (identity), so digit
-    extraction can read them verbatim; computed values go through the
-    12-digit real renderer instead.
+    years, values and positive hold one entry per output point; rejected
+    points are in excluded instead. exact is True when values are
+    untouched decimals (identity), so digit extraction can read them
+    verbatim; computed values go through the 12-digit real renderer.
     """
 
     label: str
     kind: TransformKind
-    points: tuple[TransformedPoint, ...]
+    years: tuple[int, ...]
+    values: tuple
+    positive: tuple[bool, ...]
     excluded: tuple[ExcludedPoint, ...]
     exact: bool
 
+    @functools.cached_property
+    def points(self) -> tuple[TransformedPoint, ...]:
+        """The output as one TransformedPoint per year, built on first use."""
+        return tuple(map(TransformedPoint, self.years, self.values, self.positive))
+
     @property
     def nonpositive_count(self) -> int:
-        return sum(1 for p in self.points if not p.positive)
+        return self.positive.count(False)
 
     @property
     def excluded_for_analysis(self) -> int:
         """Points digit analysis must refuse: rejected plus non-positive."""
         return len(self.excluded) + self.nonpositive_count
 
+    def kept(self) -> tuple[tuple[int, ...], tuple]:
+        """(years, values) of the strictly positive outputs, in year order.
+
+        When no output is flagged these are the stored columns themselves.
+        """
+        if False not in self.positive:
+            return self.years, self.values
+        return tuple(compress(self.years, self.positive)), tuple(compress(self.values, self.positive))
+
     def analyzable(self) -> tuple[TransformedPoint, ...]:
         """The strictly positive output points, in year order."""
-        return tuple(p for p in self.points if p.positive)
+        return tuple(compress(self.points, self.positive))
 
 
 def theil_map(x: float, base: TheilBase = TheilBase.NATURAL) -> float:
@@ -167,11 +187,9 @@ def relative(series: TimeSeries, scope: Scope = Scope.WHOLE_RANGE,
     conformity of the output is the same as the input's.
     """
     means = _scope_means(series, scope, regimes)
-    points = tuple(
-        TransformedPoint(year, float(value) / means[i], True)
-        for i, (year, value) in enumerate(series.points)
-    )
-    return TransformedSeries(series.label, TransformKind.relative(scope), points, (), exact=False)
+    values = tuple(map(truediv, _as_floats(series), means))
+    return TransformedSeries(series.label, TransformKind.relative(scope), series.years(), values,
+                             (True,) * len(values), (), exact=False)
 
 
 def log_relative(series: TimeSeries, scope: Scope = Scope.WHOLE_RANGE,
@@ -183,11 +201,10 @@ def log_relative(series: TimeSeries, scope: Scope = Scope.WHOLE_RANGE,
     them so digit analysis can refuse them.
     """
     means = _scope_means(series, scope, regimes)
-    points = []
-    for i, (year, value) in enumerate(series.points):
-        y = math.log(float(value) / means[i])
-        points.append(TransformedPoint(year, y, y > 0.0))
-    return TransformedSeries(series.label, TransformKind.log_relative(scope), tuple(points), (), exact=False)
+    values = tuple(map(math.log, map(truediv, _as_floats(series), means)))
+    positive = tuple(y > 0.0 for y in values)
+    return TransformedSeries(series.label, TransformKind.log_relative(scope), series.years(), values,
+                             positive, (), exact=False)
 
 
 def apply_transform(series: TimeSeries, kind: TransformKind,
@@ -195,30 +212,47 @@ def apply_transform(series: TimeSeries, kind: TransformKind,
     """Apply any TransformKind to a series, collecting exclusions."""
     series.require_nonempty()
     if kind.name is TransformName.IDENTITY:
-        points = tuple(TransformedPoint(year, value, True) for year, value in series.points)
-        return TransformedSeries(series.label, kind, points, (), exact=True)
+        return TransformedSeries(series.label, kind, series.years(), series.values(),
+                                 (True,) * len(series), (), exact=True)
     if kind.name is TransformName.RELATIVE:
         return relative(series, kind.scope, regimes)
     if kind.name is TransformName.LOG_RELATIVE:
         return log_relative(series, kind.scope, regimes)
-    points, excluded = [], []
-    for year, value in series.points:
-        try:
-            points.append(TransformedPoint(year, theil_map(float(value), kind.base), True))
-        except NonPositiveImageError:
-            excluded.append(ExcludedPoint(year, value, "non-positive image"))
-    return TransformedSeries(series.label, kind, tuple(points), tuple(excluded), exact=False)
+    return _theil(series, kind)
+
+
+def _theil(series: TimeSeries, kind: TransformKind) -> TransformedSeries:
+    """theil_map over the float column; images of x <= 1 become exclusions."""
+    years, floats = series.years(), _as_floats(series)
+    mask = [1.0 < x < math.inf for x in floats]
+    excluded = ()
+    if False in mask:
+        dropped = [not keep for keep in mask]
+        for x in compress(floats, dropped):
+            if not 0.0 < x < math.inf:
+                theil_map(x, kind.base)  # raises the map's DomainError
+        excluded = tuple(
+            ExcludedPoint(year, value, "non-positive image")
+            for year, value in compress(series.points, dropped)
+        )
+        years, floats = tuple(compress(years, mask)), list(compress(floats, mask))
+    values = map(mul, floats, map(math.log, floats))
+    if kind.base is TheilBase.DECIMAL:
+        values = (y / _LN10 for y in values)
+    values = tuple(values)
+    return TransformedSeries(series.label, kind, years, values, (True,) * len(values),
+                             excluded, exact=False)
 
 
 def _as_floats(series) -> list[float]:
     values = series.values() if isinstance(series, TimeSeries) else series
-    return [float(v) for v in values]
+    return list(map(float, values))
 
 
 def _scope_means(series: TimeSeries, scope: Scope, regimes: RegimeSpec | None) -> list[float]:
     """Mean of each point's scope, aligned with series.points."""
     series.require_nonempty()
-    floats = [float(v) for v in series.values()]
+    floats = _as_floats(series)
     if scope is Scope.WHOLE_RANGE:
         mean = math.fsum(floats) / len(floats)
         return [mean] * len(floats)

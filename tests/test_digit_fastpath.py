@@ -1,7 +1,7 @@
 """Digit extraction and tallying against the per-value code they replaced.
 
 digits_of_points reads computed floats from one format(v, '.11e') string
-and exact Decimals from their stored digit tuple; DigitHistogram.from_digits
+and exact Decimals from their str() mantissa; DigitHistogram.from_digits
 tallies with Counter. The oracles are the per-value SignificantDigits path
 (significant_digits / significant_digits_from_real, which stay public) and
 the dict-loop tally kept below.
@@ -17,13 +17,13 @@ from hypothesis import example, given, settings, strategies as st
 from digitaudit.digit_extract import significant_digits, significant_digits_from_real
 from digitaudit.errors import DomainError
 from digitaudit.gof_tests import DigitHistogram, digits_of_points
-from digitaudit.transforms import TransformedPoint
 
 POSITIONS = tuple(range(1, 14))
 
 
 def points_of(values):
-    return tuple(TransformedPoint(year, v, True) for year, v in enumerate(values))
+    """The value column digits_of_points reads."""
+    return tuple(values)
 
 
 def oracle_digits(values, exact):

@@ -195,6 +195,17 @@ class TestCli:
         assert main(["analyze", "--input", budget_path, "--regimes", str(bad),
                      "--outdir", str(tmp_path / "o")]) == 2
 
+    def test_duplicate_regime_name_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "ten.csv"
+        data.write_text("year,value\n" + "".join(f"{y},{10 * y}\n" for y in range(1, 11)),
+                        encoding="utf-8")
+        bad = tmp_path / "regimes.csv"
+        bad.write_text("name,start_year,end_year\na,1,1\nb,2,2\na,3,3\n", encoding="utf-8")
+        assert main(["analyze", "--input", str(data), "--regimes", str(bad),
+                     "--outdir", str(tmp_path / "o")]) == 2
+        assert "'a' is used twice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_transform_is_config_error(self, budget_path, tmp_path):
         assert main(["analyze", "--input", budget_path, "--outdir", str(tmp_path / "o"),
                      "--transforms", "sqrt"]) == 2

@@ -39,6 +39,11 @@ class TestRegimes:
         with pytest.raises(ConfigError):
             RegimeSpec.from_tuples([("B", 1950, 1960), ("A", 1920, 1940)])
 
+    def test_duplicate_name_rejected(self):
+        # two intervals under one name would each count both in partition()
+        with pytest.raises(ConfigError, match="'a' is used twice"):
+            RegimeSpec.from_tuples([("a", 1, 1), ("b", 2, 2), ("a", 3, 3)])
+
     def test_backwards_interval_rejected(self):
         with pytest.raises(ConfigError):
             Regime("A", 1940, 1930)
@@ -47,6 +52,14 @@ class TestRegimes:
         series = TimeSeries.from_pairs("x", [(1940, "1"), (1941, "2"), (2003, "3")])
         part = partition(series, TABLE_REGIMES)
         assert part.labels == ("I", "II", None)
+        assert part.unassigned == 1
+
+    def test_counts_are_slice_lengths(self):
+        series = TimeSeries.from_pairs("x", [(y, "1") for y in (1, 2, 5, 6, 7, 12, 20)])
+        spec = RegimeSpec.from_tuples([("A", 0, 2), ("B", 4, 6), ("C", 8, 11), ("D", 12, 30)])
+        part = partition(series, spec)
+        assert part.labels == ("A", "A", "B", "B", None, "D", "D")
+        assert part.counts == (("A", 2), ("B", 2), ("C", 0), ("D", 2))
         assert part.unassigned == 1
 
     def test_empty_spec_assigns_nothing(self):
@@ -113,6 +126,38 @@ class TestLoadCsv:
         path = self.write(tmp_path, "date,income\n1922,10\n")
         with pytest.raises(IngestError):
             load_csv(path)
+
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        path = self.write(tmp_path, "year,value\n1,10\n\n3,abc\n")
+        with pytest.raises(IngestError, match="line 4: column 'value': bad number 'abc'"):
+            load_csv(path)
+
+    def test_blank_rows_not_counted(self, tmp_path):
+        path = self.write(tmp_path, "year,value\n\n1,10\n\n\n2,20\n")
+        result = load_csv(path)
+        assert result.rows == 2
+        assert result.skipped_map() == {"value": 0}
+
+    def test_short_row_reads_missing_cells_as_empty(self, tmp_path):
+        path = self.write(tmp_path, "year,a,b\n1,10\n2,20,30\n")
+        result = load_csv(path)
+        assert [len(s) for s in result.series] == [2, 1]
+        assert result.skipped_map() == {"a": 0, "b": 1}
+
+    def test_duplicate_header_name_reads_last_column(self, tmp_path):
+        path = self.write(tmp_path, "year,a,year\n5,10,1\n6,20,2\n")
+        series = load_csv(path, value_columns=("a",)).series[0]
+        assert series.years() == (1, 2)
+
+    def test_regime_line_number_counts_blank_lines(self, tmp_path):
+        path = self.write(tmp_path, "name,start_year,end_year\nA,1,2\n\nB,x,4\n", "regimes.csv")
+        with pytest.raises(IngestError, match="line 4: bad regime row"):
+            load_regimes(path)
+
+    def test_short_regime_row_is_ingest_error(self, tmp_path):
+        path = self.write(tmp_path, "name,start_year,end_year\nA,1\n", "regimes.csv")
+        with pytest.raises(IngestError, match="line 2: bad regime row"):
+            load_regimes(path)
 
     def test_bad_year(self, tmp_path):
         path = self.write(tmp_path, "year,income\nabc,10\n")
