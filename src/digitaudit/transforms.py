@@ -184,11 +184,13 @@ def relative(series: TimeSeries, scope: Scope = Scope.WHOLE_RANGE,
 
     Scope is the whole series or the point's own regime; each scope's
     output mean is 1 up to float rounding. Pure rescaling: digit-law
-    conformity of the output is the same as the input's.
+    conformity of the output is the same as the input's. A value whose
+    ratio is not a finite positive float (its float is 0.0 or inf, the
+    ratio underflows, or the scope's sum overflows) is a DomainError.
     """
-    means = _scope_means(series, scope, regimes)
-    values = tuple(map(truediv, _as_floats(series), means))
-    return TransformedSeries(series.label, TransformKind.relative(scope), series.years(), values,
+    kind = TransformKind.relative(scope)
+    values = _ratios(series, kind, regimes)
+    return TransformedSeries(series.label, kind, series.years(), values,
                              (True,) * len(values), (), exact=False)
 
 
@@ -198,12 +200,13 @@ def log_relative(series: TimeSeries, scope: Scope = Scope.WHOLE_RANGE,
 
     Values below (or at) the scope mean map to non-positive outputs; they
     are kept in the output but flagged, and excluded_for_analysis counts
-    them so digit analysis can refuse them.
+    them so digit analysis can refuse them. A ratio that is not a finite
+    positive float is a DomainError, as in relative().
     """
-    means = _scope_means(series, scope, regimes)
-    values = tuple(map(math.log, map(truediv, _as_floats(series), means)))
+    kind = TransformKind.log_relative(scope)
+    values = tuple(map(math.log, _ratios(series, kind, regimes)))
     positive = tuple(y > 0.0 for y in values)
-    return TransformedSeries(series.label, TransformKind.log_relative(scope), series.years(), values,
+    return TransformedSeries(series.label, kind, series.years(), values,
                              positive, (), exact=False)
 
 
@@ -249,13 +252,43 @@ def _as_floats(series) -> list[float]:
     return list(map(float, values))
 
 
-def _scope_means(series: TimeSeries, scope: Scope, regimes: RegimeSpec | None) -> list[float]:
-    """Mean of each point's scope, aligned with series.points."""
-    series.require_nonempty()
+def _ratios(series: TimeSeries, kind: TransformKind, regimes: RegimeSpec | None) -> tuple:
+    """x/<x> for every point, each a finite positive float, else DomainError.
+
+    A decimal whose float is 0.0 or inf, a ratio that underflows, or a
+    scope mean that overflows yields no usable ratio; the error names the
+    transform and the first such year.
+    """
     floats = _as_floats(series)
+    means = _scope_means(series, kind.scope, regimes, floats)
+    if 0.0 not in means:
+        ratios = tuple(map(truediv, floats, means))
+        if all(0.0 < r < math.inf for r in ratios):
+            return ratios
+    year, x, mean = next(
+        (year, x, mean) for year, x, mean in zip(series.years(), floats, means)
+        if not (mean > 0.0 and 0.0 < x / mean < math.inf)
+    )
+    raise DomainError(
+        f"{kind.variant_label()}: year {year}: the value {x!r} over its scope "
+        f"mean {mean!r} is not a finite positive number"
+    )
+
+
+def _mean(floats: list[float]) -> float:
+    """Arithmetic mean, inf when the sum overflows a float."""
+    try:
+        return math.fsum(floats) / len(floats)
+    except OverflowError:
+        return math.inf
+
+
+def _scope_means(series: TimeSeries, scope: Scope, regimes: RegimeSpec | None,
+                 floats: list[float]) -> list[float]:
+    """Mean of each point's scope, aligned with series.points and floats."""
+    series.require_nonempty()
     if scope is Scope.WHOLE_RANGE:
-        mean = math.fsum(floats) / len(floats)
-        return [mean] * len(floats)
+        return [_mean(floats)] * len(floats)
     if regimes is None:
         raise ConfigError("per-regime scope requires a regime specification")
     labels = partition_series(series, regimes).labels
@@ -263,7 +296,7 @@ def _scope_means(series: TimeSeries, scope: Scope, regimes: RegimeSpec | None) -
     for name in regimes.names():
         group = [floats[i] for i, lab in enumerate(labels) if lab == name]
         if group:
-            means[name] = math.fsum(group) / len(group)
+            means[name] = _mean(group)
     out = []
     for i, lab in enumerate(labels):
         if lab is None:

@@ -1,13 +1,16 @@
-"""The pruned imperfect-law fit against the exhaustive search it replaces.
+"""The imperfect-law fit against the exhaustive numpy search it replaces.
 
 `exhaustive_fit` is the body of `fit_imperfect` before scale pruning,
-kept verbatim as the oracle: it runs the coarse scan and the golden-section
-refinement on every scale in [ceil(N/2), 2N]. The pruned fit must return
+kept verbatim as the oracle, with the numpy `_imperfect_scan` it called:
+it runs the coarse scan of the whole 10,001-point s-grid and the
+golden-section refinement on every scale in [ceil(N/2), 2N]. The
+standard-library fit, which prunes scales and grid blocks, must return
 the same result object, bit for bit.
 """
 
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,14 +22,36 @@ from digitaudit.gof_tests import DigitHistogram
 from digitaudit.imperfect_fit import (
     S_GRID_STEP,
     ImperfectFitResult,
-    _candidate_scales,
+    _Search,
     _golden_min,
-    _imperfect_scan,
     fit_chi2,
     fit_imperfect,
     imperfect_curve,
     minimum_location,
 )
+
+
+def _imperfect_scan(observed, l_matrix, ns_values):
+    """Coarse Pearson scan of the imperfect-law parameter grid.
+
+    observed:  9 first-digit counts, as float64.
+    l_matrix:  precomputed log10(1/d + 1 + s*d), shape (n_s_grid, 9),
+               rows ordered by ascending s.
+    ns_values: candidate integer scales, as float64.
+
+    Returns (best_chi2, best_idx): for every scale, the minimal statistic
+    over the s grid and the row index attaining it (first minimum wins,
+    i.e. ties resolve toward smaller s).
+    """
+    best_chi2 = np.empty(ns_values.shape[0], dtype=np.float64)
+    best_idx = np.empty(ns_values.shape[0], dtype=np.intp)
+    for i in range(ns_values.shape[0]):
+        expected = ns_values[i] * l_matrix
+        chi2 = ((observed - expected) ** 2 / expected).sum(axis=1)
+        j = int(np.argmin(chi2))
+        best_chi2[i] = chi2[j]
+        best_idx[i] = j
+    return best_chi2, best_idx
 
 
 def exhaustive_fit(hist: DigitHistogram) -> ImperfectFitResult:
@@ -152,15 +177,29 @@ def test_criterion_7_histogram_unchanged():
     assert fit.s == pytest.approx(0.00225, abs=1e-6)
 
 
+@st.composite
+def large_counts(draw):
+    """Benford-like or curled histograms with totals up to 10^4."""
+    n = draw(st.integers(min_value=1000, max_value=10_000))
+    s = draw(st.sampled_from([0.0, 0.002, 0.02, 0.07]))
+    noise = draw(st.lists(st.integers(min_value=-30, max_value=30), min_size=9, max_size=9))
+    return [max(0, round(n * math.log10(1 / d + 1 + s * d)) + e)
+            for d, e in zip(range(1, 10), noise)]
+
+
+# each example runs the exhaustive oracle on up to 15,001 scales, about 10 s
+@settings(max_examples=5, deadline=None)
+@given(large_counts())
+def test_matches_exhaustive_search_at_large_totals(counts):
+    assert_same_fit(counts)
+
+
 def test_curvature_bound_keeps_few_scales():
-    observed = np.asarray(CURLED_1000, dtype=np.float64)
-    ns_values = np.arange(500, 2001, dtype=np.float64)
-    s_grid = np.linspace(0.0, 1.0, int(round(1.0 / S_GRID_STEP)) + 1)
-    digits = np.arange(1.0, 10.0)
-    l_matrix = np.log10(1.0 / digits + 1.0 + s_grid[:, None] * digits)
-    kept = _candidate_scales(observed, l_matrix, ns_values)
-    assert 1 <= kept.shape[0] < 50
-    assert np.all(np.diff(kept) > 0)
+    search = _Search(CURLED_1000, 500, 2000)
+    spans = search.kept_scales(search.upper_bound()[0])
+    kept = [n for first, last in spans for n in range(first, last + 1)]
+    assert 1 <= len(kept) < 50
+    assert all(a < b for a, b in zip(kept, kept[1:]))
     assert fit_imperfect(histogram(CURLED_1000)).n_s in kept
 
 
@@ -168,4 +207,6 @@ def test_one_debug_line_per_fit(caplog):
     with caplog.at_level(logging.DEBUG, logger="digitaudit.imperfect_fit"):
         fit_imperfect(histogram([19, 11, 8, 6, 5, 5, 4, 4, 3]))
     (record,) = caplog.records
-    assert "of 98 scales" in record.getMessage()
+    message = record.getMessage()
+    assert "of 98 scales" in message
+    assert re.search(r"\b\d+ grid rows evaluated, \d+ points scored directly\b", message)

@@ -1,16 +1,19 @@
 """Imperfect-law curve analytics and the deterministic fit protocol."""
 
 import math
+import subprocess
+import sys
+import tracemalloc
 
-import numpy as np
 import pytest
 
 from digitaudit.errors import DegenerateHistogramWarning, DomainError
 from digitaudit.gof_tests import DigitHistogram
 from digitaudit.imperfect_fit import (
     MAX_FIT_TOTAL,
+    S_GRID_STEP,
     ImperfectFitResult,
-    _imperfect_scan,
+    _Search,
     fit_chi2,
     fit_imperfect,
     imperfect_curve,
@@ -148,15 +151,36 @@ class TestFit:
 
 
 def test_scan_matches_direct_evaluation():
-    observed = np.asarray([19, 11, 8, 6, 5, 5, 4, 4, 3], dtype=np.float64)
-    total = int(round(observed.sum()))
-    ns_values = np.arange(math.ceil(total / 2), 2 * total + 1, dtype=np.float64)
-    s_grid = np.linspace(0.0, 1.0, 1001)
-    digits = np.arange(1.0, 10.0)
-    l_matrix = np.log10(1.0 / digits + 1.0 + s_grid[:, None] * digits)
-    chi2, idx = _imperfect_scan(observed, l_matrix, ns_values)
-    for i in (0, len(ns_values) // 2, len(ns_values) - 1):
-        ns = ns_values[i]
-        expected = ns * l_matrix[idx[i]]
-        direct = float(((observed - expected) ** 2 / expected).sum())
-        assert chi2[i] == pytest.approx(direct, abs=1e-12)
+    observed = [19, 11, 8, 6, 5, 5, 4, 4, 3]
+    total = round(sum(observed))
+    ns_values = range(math.ceil(total / 2), 2 * total + 1)
+    search = _Search(observed, ns_values[0], ns_values[-1])
+    for ns in (ns_values[0], ns_values[len(ns_values) // 2], ns_values[-1]):
+        idx, chi2 = search.grid_argmin(ns, 0)
+        assert search.grid_argmin(ns, 10_000) == (idx, chi2)  # the guess only saves work
+        # every point of the full grid, scored directly; the first minimum wins
+        direct = [pearson_oracle(observed, j * S_GRID_STEP, ns) for j in range(10_001)]
+        assert chi2 == pytest.approx(direct[idx], abs=1e-12)
+        assert min(direct) >= chi2 - 1e-12
+
+
+def test_large_total_fits_in_little_memory():
+    # a Benford-shaped histogram of 10^6 points: 1.5 million scales
+    counts = [round(10**6 * math.log10(1 + 1 / d)) for d in range(1, 10)]
+    hist = DigitHistogram.from_counts(1, dict(zip(range(1, 10), counts)))
+    tracemalloc.start()
+    try:
+        fit = fit_imperfect(hist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert fit.n_s == 10**6
+    assert fit.s == 0.0
+
+
+def test_import_leaves_numpy_unloaded():
+    code = "import sys, digitaudit, digitaudit.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"

@@ -8,7 +8,9 @@ LoadResult, or the same error type and message, and `digitaudit analyze`
 must exit with a documented code and no traceback.
 """
 
+import contextlib
 import csv
+import io
 import tempfile
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -19,6 +21,7 @@ from digitaudit.cli import main
 from digitaudit.errors import IngestError
 from digitaudit.ingest import LoadResult, load_csv
 from digitaudit.series import TimeSeries
+from digitaudit.transforms import Scope, TheilBase, TransformKind
 
 
 def dictreader_load_csv(path, year_column="year", value_columns=None):
@@ -92,7 +95,8 @@ value_cells = st.one_of(
     st.decimals(min_value=Decimal("0.001"), max_value=Decimal("1E+7"), places=None,
                 allow_nan=False, allow_infinity=False).map(str),
     st.sampled_from(["", " ", " 12.5 ", "1e400", "1E-400", "NaN", "-0", "0", "0x10", "-3",
-                     "abc", "1E+5", "0.001", "Infinity", '"1,5"', '"7\n"', "1_000"]),
+                     "abc", "1E+5", "0.001", "Infinity", '"1,5"', '"7\n"', "1_000",
+                     "1E+400", "5E-324", "1E+308"]),
 )
 
 
@@ -161,13 +165,42 @@ def test_load_csv_matches_dictreader(text):
             outcome(dictreader_load_csv, path, "year", ("a",))
 
 
-@settings(max_examples=60, deadline=None)
-@given(text=csv_texts())
-@example(text=EXAMPLES[0])
-@example(text=EXAMPLES[4])
-@example(text=EXAMPLES[9])
-def test_analyze_exits_with_documented_code(text):
+# every transform, base and scope; a per-regime scope without a regime file is
+# a configuration error (exit 2)
+TRANSFORMS = [(kind.name.value, kind.base.value, kind.scope.value) for kind in (
+    TransformKind.identity(),
+    TransformKind.theil(),
+    TransformKind.theil(TheilBase.DECIMAL),
+    TransformKind.relative(),
+    TransformKind.relative(Scope.PER_REGIME),
+    TransformKind.log_relative(),
+    TransformKind.log_relative(Scope.PER_REGIME),
+)]
+HOSTILE = "year,value\n1,{}\n2,20\n3,30\n"
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=csv_texts(), transform=st.sampled_from(TRANSFORMS), with_regimes=st.booleans())
+@example(text=EXAMPLES[0], transform=TRANSFORMS[1], with_regimes=False)
+@example(text=EXAMPLES[4], transform=TRANSFORMS[1], with_regimes=False)
+@example(text=EXAMPLES[9], transform=TRANSFORMS[1], with_regimes=False)
+@example(text=HOSTILE.format("1E+400"), transform=TRANSFORMS[5], with_regimes=False)
+@example(text=HOSTILE.format("1E-400"), transform=TRANSFORMS[6], with_regimes=True)
+@example(text=HOSTILE.format("5E-324"), transform=TRANSFORMS[5], with_regimes=False)
+@example(text="year,value\n1,1E+308\n2,1E+308\n3,30\n", transform=TRANSFORMS[3],
+         with_regimes=False)
+@example(text="year,value\n1,1E+308\n2,1E+308\n3,30\n", transform=TRANSFORMS[6],
+         with_regimes=True)
+def test_analyze_exits_with_documented_code(text, transform, with_regimes):
+    name, base, scope = transform
     with tempfile.TemporaryDirectory() as directory:
         path = write(directory, text)
-        code = main(["analyze", "--input", path, "--outdir", str(Path(directory) / "out")])
-        assert code in (0, 3, 4)
+        argv = ["analyze", "--input", path, "--outdir", str(Path(directory) / "out"),
+                "--transforms", name, "--theil-base", base, "--scope", scope]
+        if with_regimes:
+            argv += ["--regimes", write(directory, "name,start_year,end_year\nall,-10,3000\n",
+                                        "regimes.csv")]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)  # an uncaught exception fails the test with its traceback
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()

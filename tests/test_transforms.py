@@ -123,6 +123,32 @@ class TestLogRelative:
         assert below == out.excluded_for_analysis == 2  # 1 and 2 sit below the mean of 2.5
 
 
+class TestRelativeDomain:
+    """Relative maps refuse a value with no finite positive ratio to its scope mean."""
+
+    COVER = RegimeSpec.from_tuples([("all", 1900, 1999)])
+
+    @pytest.mark.parametrize("kind", [
+        TransformKind.relative(), TransformKind.relative(Scope.PER_REGIME),
+        TransformKind.log_relative(), TransformKind.log_relative(Scope.PER_REGIME),
+    ], ids=lambda k: k.variant_label())
+    @pytest.mark.parametrize("cells,year", [
+        (["1E+400", "20", "30"], 1900),  # float inf: inf / inf is nan
+        (["20", "30", "1E-400"], 1902),  # float 0.0
+        (["5E-324", "20", "30"], 1900),  # the ratio underflows to 0.0
+        (["1E+308", "1E+308", "30"], 1900),  # the sum overflows, so the mean is inf
+        (["1E-400"], 1900),  # the scope mean is 0.0
+    ])
+    def test_domain_error_names_transform_and_year(self, kind, cells, year):
+        series = make_series(cells)
+        with pytest.raises(DomainError, match=rf"^{kind.variant_label()}: year {year}: "):
+            apply_transform(series, kind, self.COVER)
+
+    def test_huge_values_with_a_finite_mean_pass(self):
+        out = relative(make_series(["1E+307", "1E+307", "30"]))
+        assert out.points[0].value == pytest.approx(1.5, rel=1e-12)
+
+
 class TestTheilIndex:
     def test_constant_series_is_exactly_zero(self):
         assert theil_index([5.0, 5.0, 5.0]) == 0.0
