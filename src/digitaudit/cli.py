@@ -175,14 +175,14 @@ def _cmd_transform(args) -> int:
 
     flagged = kind.name is TransformName.LOG_RELATIVE
     lines = ["year,value,nonpositive" if flagged else "year,value"]
-    for point in outcome.points:
+    for year, value, positive in zip(outcome.years, outcome.values, outcome.positive):
         if flagged:
             # outputs may be negative here, so use plain float formatting
-            lines.append(f"{point.year},{point.value:.12g},{str(not point.positive).lower()}")
+            lines.append(f"{year},{value:.12g},{str(not positive).lower()}")
         elif outcome.exact:
-            lines.append(f"{point.year},{point.value}")
+            lines.append(f"{year},{value}")
         else:
-            lines.append(f"{point.year},{round_real(point.value)}")
+            lines.append(f"{year},{round_real(value)}")
     text = "\n".join(lines) + "\n"
 
     if outcome.excluded:
@@ -250,7 +250,7 @@ def _cmd_synth(args) -> int:
         start_year=args.start_year,
         label=args.label,
     )
-    lines = ["year,value"] + [f"{year},{value}" for year, value in series.points]
+    lines = ["year,value"] + [f"{year},{value}" for year, value in zip(series.years, series.values)]
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:

@@ -132,23 +132,24 @@ def generalized_prob(d: int, r: float, q: float, zero_allowed: bool = False) -> 
     law is recovered. The curvature of the law never changes sign, so it
     cannot model a curl-up at large digits (see imperfect_counts).
     """
-    r, q = float(r), float(q)
-    if not (r >= 0.0) or not math.isfinite(r):
-        raise DomainError(f"parameter r must be >= 0, got {r}")
-    if not (q > 0.0) or not math.isfinite(q):
-        raise DomainError(f"parameter q must be > 0, got {q}")
-    domain = _generalized_domain(r, zero_allowed)
+    r, q, domain = _generalized_params(r, q, zero_allowed)
     _check_digit(d, domain)
     z = math.fsum(_generalized_term(x, r, q) for x in domain)
     return _generalized_term(d, r, q) / z
 
 
-def _generalized_domain(r: float, zero_allowed: bool) -> tuple[int, ...]:
+def _generalized_params(r: float, q: float, zero_allowed: bool) -> tuple[float, float, tuple[int, ...]]:
+    """r and q as floats, checked, with the digit domain they admit."""
+    r, q = float(r), float(q)
+    if not (r >= 0.0) or not math.isfinite(r):
+        raise DomainError(f"parameter r must be >= 0, got {r}")
+    if not (q > 0.0) or not math.isfinite(q):
+        raise DomainError(f"parameter q must be > 0, got {q}")
     if not zero_allowed:
-        return FIRST_DIGITS
+        return r, q, FIRST_DIGITS
     if r < 1.0:
         raise DomainError(f"digit 0 requires r >= 1 (log divergence guard), got r={r}")
-    return ALL_DIGITS
+    return r, q, ALL_DIGITS
 
 
 def _generalized_term(x: int, r: float, q: float) -> float:
@@ -253,12 +254,7 @@ class DigitLawModel:
 
     @classmethod
     def generalized(cls, r: float, q: float, zero_allowed: bool = False) -> "DigitLawModel":
-        r, q = float(r), float(q)
-        if not (r >= 0.0) or not math.isfinite(r):
-            raise DomainError(f"parameter r must be >= 0, got {r}")
-        if not (q > 0.0) or not math.isfinite(q):
-            raise DomainError(f"parameter q must be > 0, got {q}")
-        _generalized_domain(r, zero_allowed)  # validates the pairing
+        r, q, _ = _generalized_params(r, q, zero_allowed)
         return cls(LawKind.GENERALIZED, r=r, q=q, zero_allowed=zero_allowed)
 
     @classmethod

@@ -270,7 +270,7 @@ def _kept_histograms(series, labels, years, values, exact, positions) -> dict[in
     each one's label is found by bisection when some points were dropped.
     """
     if labels is not None and len(years) != len(labels):
-        all_years = series.years()
+        all_years = series.years
         labels = [labels[bisect_left(all_years, year)] for year in years]
     digit_map = digits_of_points(values, exact, positions)
     return {k: DigitHistogram.from_digits(k, digit_map[k], labels) for k in positions}

@@ -113,7 +113,7 @@ def load_csv(path, year_column: str = "year", value_columns=None) -> LoadResult:
                 column_years.append(year)
                 column_values.append(value)
 
-    series = tuple(TimeSeries(label=c, points=tuple(zip(years[c], values[c]))) for c in value_columns)
+    series = tuple(TimeSeries(c, tuple(years[c]), tuple(values[c])) for c in value_columns)
     for column in value_columns:
         if skipped[column]:
             logger.info("%s: column %r: skipped %d rows with empty cells", path, column, skipped[column])
@@ -173,8 +173,5 @@ def synth_benford(count: int, generator: str = "weyl", scale: float = 1.0,
     else:
         raise ConfigError(f"unknown generator {generator!r} (expected 'weyl' or 'random')")
 
-    points = []
-    for i, exponent in enumerate(exponents):
-        value = round_real(float(scale) * 10.0 ** exponent)
-        points.append((start_year + i, value))
-    return TimeSeries(label=label, points=tuple(points))
+    values = tuple(round_real(float(scale) * 10.0 ** exponent) for exponent in exponents)
+    return TimeSeries(label, tuple(range(start_year, start_year + count)), values)

@@ -1,17 +1,18 @@
 """Yearly time series and regime partitioning.
 
-A TimeSeries holds one budget column as ordered (year, value) records.
-Values are exact decimals (never floats), because digit analysis of raw
-data must read the reported figures verbatim. Regimes are named,
-disjoint year intervals used to break histograms down by growth phase.
+A TimeSeries holds one budget column as aligned years and values
+columns; points is a lazy (year, value) view. Values are exact decimals
+(never floats), because digit analysis of raw data must read the
+reported figures verbatim. Regimes are named, disjoint year intervals
+used to break histograms down by growth phase.
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from operator import itemgetter
 
 from .errors import ConfigError, DomainError, EmptySeriesError
 
@@ -19,11 +20,14 @@ from .errors import ConfigError, DomainError, EmptySeriesError
 @dataclass(frozen=True)
 class TimeSeries:
     label: str
-    points: tuple[tuple[int, Decimal], ...]
+    years: tuple[int, ...]
+    values: tuple[Decimal, ...]
 
     def __post_init__(self):
+        if len(self.years) != len(self.values):
+            raise DomainError(f"series {self.label!r}: {len(self.years)} years, {len(self.values)} values")
         last_year = None
-        for year, value in self.points:
+        for year, value in zip(self.years, self.values):
             if last_year is not None and year <= last_year:
                 raise DomainError(
                     f"series {self.label!r}: years must be strictly increasing "
@@ -36,26 +40,26 @@ class TimeSeries:
     @classmethod
     def from_pairs(cls, label: str, pairs) -> "TimeSeries":
         """Build from (year, value) pairs; values may be str, int or Decimal."""
-        points = []
+        years, values = [], []
         for year, raw in pairs:
             try:
                 value = raw if isinstance(raw, Decimal) else Decimal(str(raw) if isinstance(raw, int) else raw)
             except InvalidOperation as exc:
                 raise DomainError(f"series {label!r}, year {year}: not a decimal: {raw!r}") from exc
-            points.append((int(year), value))
-        return cls(label=label, points=tuple(points))
+            years.append(int(year))
+            values.append(value)
+        return cls(label, tuple(years), tuple(values))
 
-    def years(self) -> tuple[int, ...]:
-        return tuple(map(itemgetter(0), self.points))
-
-    def values(self) -> tuple[Decimal, ...]:
-        return tuple(map(itemgetter(1), self.points))
+    @functools.cached_property
+    def points(self) -> tuple[tuple[int, Decimal], ...]:
+        """The series as (year, value) pairs, built on first use."""
+        return tuple(zip(self.years, self.values))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.years)
 
     def require_nonempty(self) -> None:
-        if not self.points:
+        if not self.years:
             raise EmptySeriesError(f"series {self.label!r} is empty")
 
 
@@ -126,7 +130,7 @@ def partition(series: TimeSeries, spec: RegimeSpec) -> Partition:
     increase strictly and regimes are ordered and disjoint, so each
     regime covers one contiguous slice of the points.
     """
-    years = series.years()
+    years = series.years
     labels = [None] * len(years)
     counts = []
     for regime in spec.regimes:

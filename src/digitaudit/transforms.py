@@ -134,18 +134,15 @@ class TransformedSeries:
             return self.years, self.values
         return tuple(compress(self.years, self.positive)), tuple(compress(self.values, self.positive))
 
-    def analyzable(self) -> tuple[TransformedPoint, ...]:
-        """The strictly positive output points, in year order."""
-        return tuple(compress(self.points, self.positive))
-
 
 def theil_map(x: float, base: TheilBase = TheilBase.NATURAL) -> float:
     """x * ln(x), or x * log10(x) for the decimal base.
 
     Defined here only for x > 1: non-positive x is a domain error, and
     0 < x <= 1 maps to a non-positive image, which is rejected with a
-    dedicated error so callers can count the exclusion. On the admitted
-    domain the map is strictly increasing.
+    dedicated error so callers can count the exclusion. An x whose
+    natural image overflows a float is a domain error in either base.
+    On the admitted domain the map is strictly increasing.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
@@ -153,6 +150,8 @@ def theil_map(x: float, base: TheilBase = TheilBase.NATURAL) -> float:
     if x <= 1.0:
         raise NonPositiveImageError(x)
     y = x * math.log(x)
+    if y == math.inf:
+        raise DomainError(f"x*ln(x) of {x} overflows a float")
     return y / _LN10 if base is TheilBase.DECIMAL else y
 
 
@@ -171,8 +170,11 @@ def theil_index(series) -> float:
         raise DomainError("inequality index requires strictly positive values")
     if min(values) == max(values):
         return 0.0
-    mean = math.fsum(values) / len(values)
-    total = math.fsum((v / mean) * math.log(v / mean) for v in values)
+    mean = _mean(values)
+    if mean == math.inf:
+        raise DomainError("inequality index: the sum of the values overflows a float")
+    # a ratio that underflows to 0.0 adds its limit, 0
+    total = math.fsum(r * math.log(r) for r in (v / mean for v in values) if r > 0.0)
     result = total / len(values)
     # Jensen guarantees >= 0; clamp the float-noise epsilon on near-equal data
     return 0.0 if -1e-12 < result < 0.0 else result
@@ -190,7 +192,7 @@ def relative(series: TimeSeries, scope: Scope = Scope.WHOLE_RANGE,
     """
     kind = TransformKind.relative(scope)
     values = _ratios(series, kind, regimes)
-    return TransformedSeries(series.label, kind, series.years(), values,
+    return TransformedSeries(series.label, kind, series.years, values,
                              (True,) * len(values), (), exact=False)
 
 
@@ -206,7 +208,7 @@ def log_relative(series: TimeSeries, scope: Scope = Scope.WHOLE_RANGE,
     kind = TransformKind.log_relative(scope)
     values = tuple(map(math.log, _ratios(series, kind, regimes)))
     positive = tuple(y > 0.0 for y in values)
-    return TransformedSeries(series.label, kind, series.years(), values,
+    return TransformedSeries(series.label, kind, series.years, values,
                              positive, (), exact=False)
 
 
@@ -215,7 +217,7 @@ def apply_transform(series: TimeSeries, kind: TransformKind,
     """Apply any TransformKind to a series, collecting exclusions."""
     series.require_nonempty()
     if kind.name is TransformName.IDENTITY:
-        return TransformedSeries(series.label, kind, series.years(), series.values(),
+        return TransformedSeries(series.label, kind, series.years, series.values,
                                  (True,) * len(series), (), exact=True)
     if kind.name is TransformName.RELATIVE:
         return relative(series, kind.scope, regimes)
@@ -225,30 +227,31 @@ def apply_transform(series: TimeSeries, kind: TransformKind,
 
 
 def _theil(series: TimeSeries, kind: TransformKind) -> TransformedSeries:
-    """theil_map over the float column; images of x <= 1 become exclusions."""
-    years, floats = series.years(), _as_floats(series)
+    """theil_map over the float column; images of x <= 1 become exclusions,
+    and theil_map's DomainError is raised for the first year it refuses."""
+    years, floats = series.years, _as_floats(series)
     mask = [1.0 < x < math.inf for x in floats]
-    excluded = ()
+    excluded, kept = (), floats
     if False in mask:
         dropped = [not keep for keep in mask]
-        for x in compress(floats, dropped):
-            if not 0.0 < x < math.inf:
-                theil_map(x, kind.base)  # raises the map's DomainError
         excluded = tuple(
             ExcludedPoint(year, value, "non-positive image")
-            for year, value in compress(series.points, dropped)
+            for year, value in zip(compress(years, dropped), compress(series.values, dropped))
         )
-        years, floats = tuple(compress(years, mask)), list(compress(floats, mask))
-    values = map(mul, floats, map(math.log, floats))
+        years, kept = tuple(compress(years, mask)), list(compress(floats, mask))
+    values = tuple(map(mul, kept, map(math.log, kept)))
+    if math.inf in values or (excluded and (0.0 in floats or math.inf in floats)):
+        for x in floats:
+            if not 0.0 < x <= 1.0:
+                theil_map(x, kind.base)  # raises the map's DomainError
     if kind.base is TheilBase.DECIMAL:
-        values = (y / _LN10 for y in values)
-    values = tuple(values)
+        values = tuple(y / _LN10 for y in values)
     return TransformedSeries(series.label, kind, years, values, (True,) * len(values),
                              excluded, exact=False)
 
 
 def _as_floats(series) -> list[float]:
-    values = series.values() if isinstance(series, TimeSeries) else series
+    values = series.values if isinstance(series, TimeSeries) else series
     return list(map(float, values))
 
 
@@ -266,7 +269,7 @@ def _ratios(series: TimeSeries, kind: TransformKind, regimes: RegimeSpec | None)
         if all(0.0 < r < math.inf for r in ratios):
             return ratios
     year, x, mean = next(
-        (year, x, mean) for year, x, mean in zip(series.years(), floats, means)
+        (year, x, mean) for year, x, mean in zip(series.years, floats, means)
         if not (mean > 0.0 and 0.0 < x / mean < math.inf)
     )
     raise DomainError(
@@ -285,24 +288,20 @@ def _mean(floats: list[float]) -> float:
 
 def _scope_means(series: TimeSeries, scope: Scope, regimes: RegimeSpec | None,
                  floats: list[float]) -> list[float]:
-    """Mean of each point's scope, aligned with series.points and floats."""
+    """Mean of each point's scope, aligned with series.years and floats."""
     series.require_nonempty()
     if scope is Scope.WHOLE_RANGE:
         return [_mean(floats)] * len(floats)
     if regimes is None:
         raise ConfigError("per-regime scope requires a regime specification")
     labels = partition_series(series, regimes).labels
-    means: dict[str, float] = {}
-    for name in regimes.names():
-        group = [floats[i] for i, lab in enumerate(labels) if lab == name]
-        if group:
-            means[name] = _mean(group)
-    out = []
-    for i, lab in enumerate(labels):
-        if lab is None:
-            raise ConfigError(
-                f"year {series.points[i][0]} is outside every regime; "
-                "per-regime scope needs full coverage"
-            )
-        out.append(means[lab])
-    return out
+    if None in labels:
+        raise ConfigError(
+            f"year {series.years[labels.index(None)]} is outside every regime; "
+            "per-regime scope needs full coverage"
+        )
+    groups: dict[str, list[float]] = {}
+    for label, x in zip(labels, floats):
+        groups.setdefault(label, []).append(x)
+    means = {label: _mean(group) for label, group in groups.items()}
+    return list(map(means.__getitem__, labels))

@@ -10,6 +10,7 @@ digits read through the public SignificantDigits path.
 """
 
 import math
+import time
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -68,7 +69,7 @@ class PointSeries:
 
 
 def point_partition(series, spec):
-    labels = tuple(spec.label_for(year) for year in series.years())
+    labels = tuple(spec.label_for(year) for year in series.years)
     counts = tuple((name, sum(1 for lab in labels if lab == name)) for name in spec.names())
     return Partition(labels=labels, counts=counts, unassigned=sum(1 for lab in labels if lab is None))
 
@@ -82,7 +83,7 @@ def point_mean(floats):
 
 def point_scope_means(series, scope, regimes):
     series.require_nonempty()
-    floats = [float(v) for v in series.values()]
+    floats = [float(v) for v in series.values]
     if scope is Scope.WHOLE_RANGE:
         mean = point_mean(floats)
         return [mean] * len(floats)
@@ -185,22 +186,22 @@ def outcome(fn, *args):
 
 # --- inputs ------------------------------------------------------------------
 
-# values <= 1 (theil exclusions), log-relative values below their mean, and
-# decimals whose float is inf or 0.0
+# values <= 1 (theil exclusions), log-relative values below their mean,
+# decimals whose float is inf or 0.0, and one whose theil image overflows
 values = st.one_of(
     st.decimals(min_value=Decimal("0.001"), max_value=Decimal("1E+9"), places=None,
                 allow_nan=False, allow_infinity=False).filter(lambda d: d > 0),
     st.sampled_from([Decimal("1"), Decimal("0.5"), Decimal("1.000"), Decimal("7000"),
                      Decimal("2.5E+3"), Decimal("9.99999999999999999")]),
 )
-extreme_values = st.sampled_from([Decimal("1E+400"), Decimal("1E-400")])
+extreme_values = st.sampled_from([Decimal("1E+400"), Decimal("1E-400"), Decimal("1E+308")])
 
 
 @st.composite
 def series_and_regimes(draw, extremes=False):
     years = sorted(draw(st.sets(st.integers(1900, 2000), min_size=1, max_size=40)))
     cells = values | extreme_values if extremes else values
-    series = TimeSeries("s", tuple((year, draw(cells)) for year in years))
+    series = TimeSeries.from_pairs("s", tuple((year, draw(cells)) for year in years))
     cuts = sorted(draw(st.sets(st.integers(1899, 2001), max_size=8)))
     if draw(st.booleans()):
         # disjoint intervals with gaps, which leave points unassigned
@@ -218,9 +219,9 @@ def series_and_regimes(draw, extremes=False):
 class TestAgainstPointPipeline:
     @settings(max_examples=150, deadline=None)
     @given(case=series_and_regimes(extremes=True))
-    @example(case=(TimeSeries("s", ((1, Decimal("0.5")), (2, Decimal("1E+400")))),
+    @example(case=(TimeSeries.from_pairs("s", ((1, Decimal("0.5")), (2, Decimal("1E+400")))),
                    RegimeSpec.from_tuples([("a", 1, 2)])))
-    @example(case=(TimeSeries("s", ((1, Decimal("2")), (2, Decimal("1E-400")))),
+    @example(case=(TimeSeries.from_pairs("s", ((1, Decimal("2")), (2, Decimal("1E-400")))),
                    RegimeSpec.from_tuples([("a", 1, 1)])))
     def test_transforms_match(self, case):
         series, regimes = case
@@ -234,7 +235,6 @@ class TestAgainstPointPipeline:
                 assert new.excluded == old.excluded
                 assert new.exact == old.exact
                 assert new.excluded_for_analysis == old.excluded_for_analysis
-                assert repr(new.analyzable()) == repr(old.analyzable())
                 assert repr(new.kept()) == repr((tuple(p.year for p in old.analyzable()),
                                                  tuple(p.value for p in old.analyzable())))
             else:
@@ -346,3 +346,28 @@ def test_nonfinite_float_is_domain_error(kind):
     series = TimeSeries.from_pairs("s", [(1, "0.5"), (2, "1E+400")])
     assert outcome(apply_transform, series, kind) == outcome(point_apply_transform, series, kind)
     assert outcome(apply_transform, series, kind)[0].__name__ == "DomainError"
+
+
+@pytest.mark.parametrize("kind", [TransformKind.theil(), TransformKind.theil(TheilBase.DECIMAL)])
+@pytest.mark.parametrize("cells, message", [
+    (["0.5", "1E+308", "1E+400"], "x*ln(x) of 1e+308 overflows a float"),
+    (["0.5", "1E+400", "1E+308"], "x*ln(x) requires x > 0, got inf"),
+    (["1E+308", "2"], "x*ln(x) of 1e+308 overflows a float"),
+])
+def test_theil_raises_for_the_first_refused_year(kind, cells, message):
+    series = TimeSeries.from_pairs("s", [(year, cell) for year, cell in enumerate(cells)])
+    assert outcome(apply_transform, series, kind) == (DomainError, message)
+    assert outcome(apply_transform, series, kind) == outcome(point_apply_transform, series, kind)
+
+
+def test_per_regime_means_scale_linearly():
+    # 2,000 regimes of 10 years each: a pass over every point per regime
+    # took about 2 s on a 2-vCPU VM, one pass over the points about 0.02 s
+    series = TimeSeries(
+        "s", tuple(range(20_000)), tuple(Decimal(7000 + (i * 7919) % 10_007) for i in range(20_000))
+    )
+    regimes = RegimeSpec.from_tuples((f"r{k}", 10 * k, 10 * k + 9) for k in range(2_000))
+    start = time.perf_counter()
+    out = apply_transform(series, TransformKind.relative(Scope.PER_REGIME), regimes)
+    assert time.perf_counter() - start < 0.5
+    assert len(out.values) == 20_000

@@ -157,7 +157,7 @@ class TestBattery:
 
     def test_empty_series_is_an_error(self):
         with pytest.raises(EmptySeriesError):
-            run_battery(TimeSeries("empty", ()))
+            run_battery(TimeSeries("empty", (), ()))
 
     def test_battery_on_histograms_keys(self):
         h1 = DigitHistogram.from_digits(1, [1, 2, 3])

@@ -77,7 +77,7 @@ def dictreader_load_csv(path, year_column="year", value_columns=None):
                 last_year[column] = year
                 points[column].append((year, value))
 
-    series = tuple(TimeSeries(label=c, points=tuple(points[c])) for c in value_columns)
+    series = tuple(TimeSeries.from_pairs(c, points[c]) for c in value_columns)
     return LoadResult(series=series, skipped=tuple((c, skipped[c]) for c in value_columns), rows=rows)
 
 

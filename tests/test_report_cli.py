@@ -227,6 +227,14 @@ class TestCli:
         assert int(year) == expected.points[0].year
         assert float(value) == pytest.approx(expected.points[0].value, rel=1e-11)
 
+    def test_theil_overflow_is_domain_error(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("year,value\n1,1E+308\n2,20\n3,30\n", encoding="utf-8")
+        assert main(["transform", "--input", str(data), "--column", "value",
+                     "--kind", "theil"]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: x*ln(x) of 1e+308 overflows a float\n"
+
     def test_log_relative_output_carries_flags(self, budget_path, capsys):
         assert main(["transform", "--input", budget_path, "--column", "income",
                      "--kind", "log-relative"]) == 0

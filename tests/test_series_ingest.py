@@ -16,14 +16,21 @@ TABLE_REGIMES = RegimeSpec.from_tuples([("I", 1922, 1940), ("II", 1941, 1966), (
 class TestTimeSeries:
     def test_from_pairs(self):
         series = TimeSeries.from_pairs("x", [(1922, "7013"), (1923, 8000)])
-        assert series.years() == (1922, 1923)
-        assert series.values() == (Decimal("7013"), Decimal("8000"))
+        assert series.years == (1922, 1923)
+        assert series.values == (Decimal("7013"), Decimal("8000"))
 
     def test_years_strictly_increasing(self):
         with pytest.raises(DomainError):
             TimeSeries.from_pairs("x", [(1922, "1"), (1922, "2")])
         with pytest.raises(DomainError):
             TimeSeries.from_pairs("x", [(1930, "1"), (1925, "2")])
+
+    def test_columns_and_points_view(self):
+        with pytest.raises(DomainError, match="2 years, 1 values"):
+            TimeSeries("x", (1922, 1923), (Decimal("7013"),))
+        series = TimeSeries("x", (1922, 1923), (Decimal("7013"), Decimal("8000")))
+        assert series.points is series.points
+        assert series.points == tuple(zip(series.years, series.values))
 
     def test_values_positive(self):
         with pytest.raises(DomainError):
@@ -80,7 +87,7 @@ class TestLoadCsv:
         result = load_csv(path)
         series = result.series[0]
         assert len(series) == 3
-        assert series.years() == (1922, 1923, 1925)
+        assert series.years == (1922, 1923, 1925)
 
     def test_negative_value_is_row_error(self, tmp_path):
         path = self.write(tmp_path, "year,income\n1922,10\n1923,-5\n")
@@ -147,7 +154,7 @@ class TestLoadCsv:
     def test_duplicate_header_name_reads_last_column(self, tmp_path):
         path = self.write(tmp_path, "year,a,year\n5,10,1\n6,20,2\n")
         series = load_csv(path, value_columns=("a",)).series[0]
-        assert series.years() == (1, 2)
+        assert series.years == (1, 2)
 
     def test_regime_line_number_counts_blank_lines(self, tmp_path):
         path = self.write(tmp_path, "name,start_year,end_year\nA,1,2\n\nB,x,4\n", "regimes.csv")
@@ -178,7 +185,7 @@ class TestBundledExample:
         assert part.unassigned == 0
 
     def test_magnitude_span(self, budget_path):
-        values = [float(v) for s in load_csv(budget_path).series for v in s.values()]
+        values = [float(v) for s in load_csv(budget_path).series for v in s.values]
         assert min(values) < 1e4
         assert max(values) > 7e6
 
@@ -199,7 +206,7 @@ class TestSynth:
 
     def test_weyl_conforms(self):
         series = synth_benford(2000, "weyl", decades=2)
-        digits = [int(str(v).replace(".", "").lstrip("0")[0]) for v in series.values()]
+        digits = [int(str(v).replace(".", "").lstrip("0")[0]) for v in series.values]
         result = chi2_benford(DigitHistogram.from_digits(1, digits))
         assert result.statistic < 15.5
 

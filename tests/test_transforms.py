@@ -49,6 +49,11 @@ class TestTheilMap:
         with pytest.raises(DomainError):
             theil_map(bad)
 
+    @pytest.mark.parametrize("base", list(TheilBase))
+    def test_overflowing_image_is_domain_error(self, base):
+        with pytest.raises(DomainError, match=r"^x\*ln\(x\) of 1e\+308 overflows a float$"):
+            theil_map(1e308, base)
+
     @settings(max_examples=60, deadline=None)
     @given(
         x=st.floats(min_value=1.0 + 1e-9, max_value=1e9),
@@ -174,13 +179,21 @@ class TestTheilIndex:
         with pytest.raises(EmptySeriesError):
             theil_index([])
 
+    def test_overflowing_sum_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"^inequality index: "):
+            theil_index(make_series(["1E+308", "1E+308", "30"]))
+
+    def test_underflowing_ratio_adds_its_limit(self):
+        # 5e-324 over the mean 5e307 is 0.0, whose term x*ln(x) tends to 0
+        assert theil_index([5e-324, 1e308]) == pytest.approx(math.log(2.0), rel=1e-15)
+
 
 class TestApplyTransform:
     def test_identity_keeps_exact_decimals(self):
         series = make_series(["7013", "1.0"])
         out = apply_transform(series, TransformKind.identity())
         assert out.exact
-        assert [p.value for p in out.points] == list(series.values())
+        assert [p.value for p in out.points] == list(series.values)
 
     def test_theil_counts_subunit_exclusions(self):
         series = make_series(["0.5", "2", "3"])
