@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -167,14 +167,15 @@ def imperfect_counts(d: int, s: float, n_s: int) -> float:
     monotone increasing in s for fixed d.
     """
     _check_digit(d, FIRST_DIGITS)
-    _check_imperfect_params(s, n_s)
+    s = check_curl(s)
+    _check_scale(n_s)
     return n_s * math.log10(1.0 / d + 1.0 + s * d)
 
 
 def imperfect_prob(d: int, s: float) -> float:
     """Probability form of the imperfect law, normalized over digits 1..9."""
     _check_digit(d, FIRST_DIGITS)
-    _check_imperfect_params(s, 1)
+    s = check_curl(s)
     z = math.fsum(math.log10(1.0 / x + 1.0 + s * x) for x in FIRST_DIGITS)
     return math.log10(1.0 / d + 1.0 + s * d) / z
 
@@ -200,9 +201,18 @@ def _check_position(n, lowest: int) -> None:
         raise DomainError(f"position must be an integer >= {lowest}, got {n!r}")
 
 
-def _check_imperfect_params(s: float, n_s: int) -> None:
-    if not (float(s) >= 0.0) or not math.isfinite(float(s)):
-        raise DomainError(f"curl parameter s must be >= 0, got {s}")
+def check_curl(s) -> float:
+    """The curl parameter s as a float; DomainError unless a finite number >= 0."""
+    try:
+        value = float(s)
+    except (TypeError, ValueError):
+        value = math.nan
+    if isinstance(s, (str, bytes)) or not 0.0 <= value < math.inf:
+        raise DomainError(f"curl parameter s must be a finite number >= 0, got {s!r}")
+    return value
+
+
+def _check_scale(n_s) -> None:
     if not isinstance(n_s, int) or isinstance(n_s, bool) or n_s < 1:
         raise DomainError(f"scale N_s must be a positive integer, got {n_s!r}")
 
@@ -218,13 +228,13 @@ class LawKind(enum.Enum):
     IMPERFECT = "imperfect"
 
 
-@dataclass(frozen=True)
-class DigitLawModel:
+class DigitLawModel(NamedTuple):
     """A parametrized digit-probability law over a digit domain.
 
     Every kind is probability-normalized over digit_domain (within 1e-12);
     the IMPERFECT kind additionally carries an integer scale n_s for
-    expected-count evaluation.
+    expected-count evaluation. A named tuple, so it is immutable and
+    hashable without importing dataclasses; use _replace to vary a field.
     """
 
     kind: LawKind
@@ -259,8 +269,9 @@ class DigitLawModel:
 
     @classmethod
     def imperfect(cls, s: float, n_s: int = 1) -> "DigitLawModel":
-        _check_imperfect_params(s, n_s)
-        return cls(LawKind.IMPERFECT, s=float(s), n_s=n_s)
+        s = check_curl(s)
+        _check_scale(n_s)
+        return cls(LawKind.IMPERFECT, s=s, n_s=n_s)
 
     @property
     def digit_domain(self) -> tuple[int, ...]:

@@ -61,7 +61,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .digit_laws import FIRST_DIGITS, imperfect_counts
+from .digit_laws import FIRST_DIGITS, check_curl, imperfect_counts
 from .errors import DegenerateHistogramWarning, DomainError
 from .gof_tests import DigitHistogram
 
@@ -103,16 +103,13 @@ def imperfect_curve(s: float, n_s: int) -> tuple[float, ...]:
 
 def minimum_location(s: float) -> float:
     """Argmin 1/sqrt(s) of the continuous count curve (inf at s = 0)."""
-    if s < 0:
-        raise DomainError(f"curl parameter s must be >= 0, got {s}")
+    s = check_curl(s)
     return math.inf if s == 0 else 1.0 / math.sqrt(s)
 
 
 def minimum_value(s: float) -> float:
     """Value log10(1 + 2*sqrt(s)) of the continuous curve at its minimum."""
-    if s < 0:
-        raise DomainError(f"curl parameter s must be >= 0, got {s}")
-    return math.log10(1.0 + 2.0 * math.sqrt(s))
+    return math.log10(1.0 + 2.0 * math.sqrt(check_curl(s)))
 
 
 def fit_chi2(observed, s: float, n_s: int) -> float:
@@ -120,6 +117,24 @@ def fit_chi2(observed, s: float, n_s: int) -> float:
     return math.fsum(
         (o - c) ** 2 / c for o, c in zip(observed, imperfect_curve(s, n_s))
     )
+
+
+def _curve_chi2(observed, n_s: int):
+    """s -> fit_chi2(observed, s, n_s), the same floats without the parameter checks.
+
+    The golden search probes only s in [0, 1] at a valid scale, so each
+    probe skips the nine digit and parameter checks of imperfect_counts.
+    """
+    terms = [(o, 1.0 / d + 1.0, d) for o, d in zip(observed, FIRST_DIGITS)]
+
+    def chi2(s: float) -> float:
+        squares = []
+        for o, a, d in terms:
+            c = n_s * math.log10(a + s * d)
+            squares.append((o - c) ** 2 / c)
+        return math.fsum(squares)
+
+    return chi2
 
 
 def fit_imperfect(hist: DigitHistogram) -> ImperfectFitResult:
@@ -153,7 +168,7 @@ def fit_imperfect(hist: DigitHistogram) -> ImperfectFitResult:
             candidate = (coarse, idx * S_GRID_STEP, ns)
             lo = max(idx - 1, 0) * S_GRID_STEP
             hi = min(idx + 1, _LAST) * S_GRID_STEP
-            s_ref, chi2_ref = _golden_min(lambda s: fit_chi2(observed, s, ns), lo, hi)
+            s_ref, chi2_ref = _golden_min(_curve_chi2(observed, ns), lo, hi)
             refined = (chi2_ref, s_ref, ns)
             if refined[:2] < candidate[:2]:  # tie on chi2 keeps the smaller s
                 candidate = refined

@@ -1,5 +1,6 @@
 """Digit-law evaluation: reference values, normalization, structure."""
 
+import dataclasses
 import math
 import warnings
 
@@ -207,6 +208,122 @@ class TestImperfectLaw:
             laws.imperfect_counts(3, 0.1, 0)
         with pytest.raises(DomainError):
             laws.imperfect_counts(0, 0.1, 64)
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassLawModel:
+    """The frozen dataclass DigitLawModel was, kept as the named tuple's oracle."""
+
+    kind: laws.LawKind
+    position: int = 1
+    r: float = 0.0
+    q: float = 1.0
+    s: float = 0.0
+    n_s: int = 1
+    zero_allowed: bool = False
+
+    @classmethod
+    def benford(cls):
+        return cls(laws.LawKind.BENFORD1)
+
+    @classmethod
+    def uniform(cls, position=1):
+        return cls(laws.LawKind.UNIFORM, position=position)
+
+    @classmethod
+    def string_law(cls):
+        return cls(laws.LawKind.STRING_LAW)
+
+    @classmethod
+    def nth_digit(cls, position):
+        return cls(laws.LawKind.NTH_DIGIT, position=position)
+
+    @classmethod
+    def generalized(cls, r, q, zero_allowed=False):
+        return cls(laws.LawKind.GENERALIZED, r=float(r), q=float(q), zero_allowed=zero_allowed)
+
+    @classmethod
+    def imperfect(cls, s, n_s=1):
+        return cls(laws.LawKind.IMPERFECT, s=float(s), n_s=n_s)
+
+    @property
+    def digit_domain(self):
+        kind = self.kind
+        if kind in (laws.LawKind.BENFORD1, laws.LawKind.STRING_LAW, laws.LawKind.IMPERFECT):
+            return laws.FIRST_DIGITS
+        if kind is laws.LawKind.GENERALIZED:
+            return laws.ALL_DIGITS if self.zero_allowed else laws.FIRST_DIGITS
+        return laws.FIRST_DIGITS if self.position == 1 else laws.ALL_DIGITS
+
+    def prob(self, d):
+        kind = self.kind
+        if kind is laws.LawKind.BENFORD1:
+            return laws.benford_first_digit_prob(d)
+        if kind is laws.LawKind.UNIFORM:
+            return laws.uniform_prob(d, self.position)
+        if kind is laws.LawKind.STRING_LAW:
+            return laws.string_prob(str(d))
+        if kind is laws.LawKind.NTH_DIGIT:
+            if self.position == 1:
+                return laws.benford_first_digit_prob(d)
+            return laws.nth_digit_prob(d, self.position)
+        if kind is laws.LawKind.GENERALIZED:
+            return laws.generalized_prob(d, self.r, self.q, self.zero_allowed)
+        return laws.imperfect_prob(d, self.s)
+
+    def probabilities(self):
+        return {d: self.prob(d) for d in self.digit_domain}
+
+    def expected_count(self, d):
+        if self.kind is laws.LawKind.IMPERFECT:
+            return laws.imperfect_counts(d, self.s, self.n_s)
+        return self.n_s * self.prob(d)
+
+
+CONSTRUCTIONS = [
+    ("benford", ()),
+    ("uniform", ()),
+    ("uniform", (1,)),
+    ("uniform", (2,)),
+    ("string_law", ()),
+    ("nth_digit", (1,)),
+    ("nth_digit", (2,)),
+    ("nth_digit", (5,)),
+    ("generalized", (0.7, 1.3)),
+    ("generalized", (2, 1)),
+    ("generalized", (2.0, 0.8, True)),
+    ("imperfect", (0.04, 64)),
+    ("imperfect", (0,)),
+]
+
+
+class TestNamedTupleParity:
+    def pairs(self):
+        return [(getattr(laws.DigitLawModel, name)(*args), getattr(DataclassLawModel, name)(*args))
+                for name, args in CONSTRUCTIONS]
+
+    def test_repr_hash_and_equality_match_the_dataclass(self):
+        pairs = self.pairs()
+        for new, old in pairs:
+            assert repr(new) == "DigitLawModel" + repr(old).removeprefix("DataclassLawModel")
+            assert hash(new) == hash(old)
+        for new_a, old_a in pairs:
+            for new_b, old_b in pairs:
+                assert (new_a == new_b) == (old_a == old_b)
+
+    def test_evaluation_matches_the_dataclass(self):
+        for new, old in self.pairs():
+            assert new.digit_domain == old.digit_domain
+            assert new.probabilities() == old.probabilities()
+            for d in new.digit_domain:
+                assert new.expected_count(d) == old.expected_count(d)
+
+    def test_fields_cannot_be_assigned(self):
+        for new, _ in self.pairs():
+            with pytest.raises(AttributeError):
+                new.s = 0.5
+            with pytest.raises(AttributeError):
+                new.kind = laws.LawKind.UNIFORM
 
 
 class TestDigitLawModel:

@@ -1,18 +1,21 @@
 """Imperfect-law curve analytics and the deterministic fit protocol."""
 
 import math
+import random
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
+from digitaudit.digit_laws import imperfect_counts, imperfect_prob
 from digitaudit.errors import DegenerateHistogramWarning, DomainError
 from digitaudit.gof_tests import DigitHistogram
 from digitaudit.imperfect_fit import (
     MAX_FIT_TOTAL,
     S_GRID_STEP,
     ImperfectFitResult,
+    _curve_chi2,
     _Search,
     fit_chi2,
     fit_imperfect,
@@ -148,6 +151,35 @@ class TestFit:
         assert fit_chi2(observed, 0.004, 60) == pytest.approx(
             pearson_oracle(observed, 0.004, 60), abs=1e-12
         )
+
+
+def test_golden_scorer_equals_fit_chi2_bit_for_bit():
+    rng = random.Random(20)
+    for _ in range(2000):
+        observed = [rng.randint(0, rng.choice((10, 1000, 10**6))) for _ in range(9)]
+        s = rng.random() * rng.choice((1.0, 1e-2, 1e-4))
+        n_s = rng.randint(1, 2 * 10**6)
+        assert _curve_chi2(observed, n_s)(s) == fit_chi2(observed, s, n_s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: minimum_location(math.nan),
+        lambda: minimum_value(math.nan),
+        lambda: minimum_location(math.inf),
+        lambda: minimum_value(math.inf),
+        lambda: imperfect_counts(1, "x", 5),
+        lambda: imperfect_prob(1, "x"),
+        lambda: imperfect_curve(None, 5),
+        lambda: minimum_location("x"),
+    ],
+    ids=["location-nan", "value-nan", "location-inf", "value-inf", "counts-str",
+         "prob-str", "curve-none", "location-str"],
+)
+def test_curl_parameter_rejected_as_domain_error(call):
+    with pytest.raises(DomainError, match="curl parameter s"):
+        call()
 
 
 def test_scan_matches_direct_evaluation():
