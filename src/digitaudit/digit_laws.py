@@ -167,7 +167,7 @@ def imperfect_counts(d: int, s: float, n_s: int) -> float:
     monotone increasing in s for fixed d.
     """
     _check_digit(d, FIRST_DIGITS)
-    s = check_curl(s)
+    s = _check_curl(s)
     _check_scale(n_s)
     return n_s * math.log10(1.0 / d + 1.0 + s * d)
 
@@ -175,7 +175,7 @@ def imperfect_counts(d: int, s: float, n_s: int) -> float:
 def imperfect_prob(d: int, s: float) -> float:
     """Probability form of the imperfect law, normalized over digits 1..9."""
     _check_digit(d, FIRST_DIGITS)
-    s = check_curl(s)
+    s = _check_curl(s)
     z = math.fsum(math.log10(1.0 / x + 1.0 + s * x) for x in FIRST_DIGITS)
     return math.log10(1.0 / d + 1.0 + s * d) / z
 
@@ -201,7 +201,7 @@ def _check_position(n, lowest: int) -> None:
         raise DomainError(f"position must be an integer >= {lowest}, got {n!r}")
 
 
-def check_curl(s) -> float:
+def _check_curl(s) -> float:
     """The curl parameter s as a float; DomainError unless a finite number >= 0."""
     try:
         value = float(s)
@@ -269,7 +269,7 @@ class DigitLawModel(NamedTuple):
 
     @classmethod
     def imperfect(cls, s: float, n_s: int = 1) -> "DigitLawModel":
-        s = check_curl(s)
+        s = _check_curl(s)
         _check_scale(n_s)
         return cls(LawKind.IMPERFECT, s=s, n_s=n_s)
 

@@ -61,7 +61,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .digit_laws import FIRST_DIGITS, check_curl, imperfect_counts
+from .digit_laws import FIRST_DIGITS, _check_curl, _check_scale, imperfect_counts
 from .errors import DegenerateHistogramWarning, DomainError
 from .gof_tests import DigitHistogram
 
@@ -103,27 +103,27 @@ def imperfect_curve(s: float, n_s: int) -> tuple[float, ...]:
 
 def minimum_location(s: float) -> float:
     """Argmin 1/sqrt(s) of the continuous count curve (inf at s = 0)."""
-    s = check_curl(s)
+    s = _check_curl(s)
     return math.inf if s == 0 else 1.0 / math.sqrt(s)
 
 
 def minimum_value(s: float) -> float:
     """Value log10(1 + 2*sqrt(s)) of the continuous curve at its minimum."""
-    return math.log10(1.0 + 2.0 * math.sqrt(check_curl(s)))
+    return math.log10(1.0 + 2.0 * math.sqrt(_check_curl(s)))
 
 
 def fit_chi2(observed, s: float, n_s: int) -> float:
     """Pearson statistic of the observed nine counts against c(d; s, N_s)."""
-    return math.fsum(
-        (o - c) ** 2 / c for o, c in zip(observed, imperfect_curve(s, n_s))
-    )
+    s = _check_curl(s)
+    _check_scale(n_s)
+    return _curve_chi2(observed, n_s)(s)
 
 
 def _curve_chi2(observed, n_s: int):
-    """s -> fit_chi2(observed, s, n_s), the same floats without the parameter checks.
+    """s -> fit_chi2(observed, s, n_s) for a checked n_s, without checking s.
 
     The golden search probes only s in [0, 1] at a valid scale, so each
-    probe skips the nine digit and parameter checks of imperfect_counts.
+    probe skips the parameter checks of fit_chi2.
     """
     terms = [(o, 1.0 / d + 1.0, d) for o, d in zip(observed, FIRST_DIGITS)]
 

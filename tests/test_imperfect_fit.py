@@ -1,7 +1,6 @@
 """Imperfect-law curve analytics and the deterministic fit protocol."""
 
 import math
-import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +14,6 @@ from digitaudit.imperfect_fit import (
     MAX_FIT_TOTAL,
     S_GRID_STEP,
     ImperfectFitResult,
-    _curve_chi2,
     _Search,
     fit_chi2,
     fit_imperfect,
@@ -153,13 +151,17 @@ class TestFit:
         )
 
 
-def test_golden_scorer_equals_fit_chi2_bit_for_bit():
-    rng = random.Random(20)
-    for _ in range(2000):
-        observed = [rng.randint(0, rng.choice((10, 1000, 10**6))) for _ in range(9)]
-        s = rng.random() * rng.choice((1.0, 1e-2, 1e-4))
-        n_s = rng.randint(1, 2 * 10**6)
-        assert _curve_chi2(observed, n_s)(s) == fit_chi2(observed, s, n_s)
+@pytest.mark.parametrize(
+    "observed, s, n_s",
+    [([19, 11, 8, 6, 5, 5, 4, 4, 3], 0.004, 60), ([0, 0, 0, 0, 7, 0, 0, 0, 2], 0, 9),
+     ([301, 176, 125, 97, 79, 67, 58, 51, 46], 0.7380953, 1999)],
+)
+def test_fit_chi2_sums_imperfect_curve_bit_for_bit(observed, s, n_s):
+    # the pre-lean definition, summed over the public count curve
+    expected = math.fsum(
+        (o - c) ** 2 / c for o, c in zip(observed, imperfect_curve(s, n_s))
+    )
+    assert fit_chi2(observed, s, n_s) == expected
 
 
 @pytest.mark.parametrize(
@@ -173,9 +175,10 @@ def test_golden_scorer_equals_fit_chi2_bit_for_bit():
         lambda: imperfect_prob(1, "x"),
         lambda: imperfect_curve(None, 5),
         lambda: minimum_location("x"),
+        lambda: fit_chi2([5] * 9, math.nan, 45),
     ],
     ids=["location-nan", "value-nan", "location-inf", "value-inf", "counts-str",
-         "prob-str", "curve-none", "location-str"],
+         "prob-str", "curve-none", "location-str", "chi2-nan"],
 )
 def test_curl_parameter_rejected_as_domain_error(call):
     with pytest.raises(DomainError, match="curl parameter s"):
