@@ -31,8 +31,8 @@ _EXPORTS = {
         "apply_transform", "relative", "log_relative", "theil_index", "theil_map",
     ),
     "gof_tests": (
-        "CRITICAL_VALUES", "BatteryResult", "DigitHistogram", "GofResult",
-        "battery_on_histograms", "chi2_benford", "chi2_uniform", "run_battery",
+        "CRITICAL_VALUES", "DigitHistogram", "GofResult",
+        "battery_on_histograms", "chi2_benford", "chi2_uniform",
     ),
     "imperfect_fit": (
         "ImperfectFitResult", "fit_imperfect", "imperfect_curve",
@@ -44,8 +44,8 @@ _EXPORTS = {
     ),
     "series": ("Partition", "Regime", "RegimeSpec", "TimeSeries", "partition"),
     "report": (
-        "AuditConfig", "AuditReport", "SeriesAudit", "VariantAudit",
-        "audit_series", "run_audit",
+        "AuditConfig", "AuditReport", "BatteryResult", "SeriesAudit", "VariantAudit",
+        "audit_series", "run_audit", "run_battery",
     ),
     "errors": (
         "ConfigError", "DegenerateHistogramWarning", "DigitAuditError", "DomainError",

@@ -14,7 +14,6 @@ is applied, but results flag expected counts below 5 as a caveat.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -22,8 +21,6 @@ from decimal import Decimal
 from . import digit_laws
 from .digit_extract import REAL_RENDER_DIGITS, significant_digits, significant_digits_from_real
 from .errors import DomainError, EmptySeriesError, UnsupportedPositionError
-from .series import RegimeSpec, TimeSeries, partition as partition_series
-from .transforms import TransformKind, TransformName, apply_transform
 
 CRITICAL_VALUES = {8: 15.5, 9: 16.9}
 
@@ -189,31 +186,6 @@ def battery_on_histograms(first: DigitHistogram, second: DigitHistogram) -> dict
     }
 
 
-@dataclass(frozen=True)
-class VariantBattery:
-    """Test grid for one data variant (raw or transformed)."""
-
-    variant: str
-    excluded: int
-    histograms: dict[int, DigitHistogram]
-    tests: dict[str, GofResult]
-
-
-@dataclass(frozen=True)
-class BatteryResult:
-    """Raw-and-transformed test grids for one series."""
-
-    label: str
-    variants: dict[str, VariantBattery]
-
-    def all_results(self) -> list[tuple[str, str, GofResult]]:
-        return [
-            (variant, key, result)
-            for variant, battery in self.variants.items()
-            for key, result in battery.tests.items()
-        ]
-
-
 def digits_of_points(values, exact: bool, positions=(1, 2)) -> dict[int, list[int]]:
     """Extract the requested digit positions from a column of values.
 
@@ -260,50 +232,3 @@ def _stored_digits(value) -> str:
 def _rendered(value) -> str:
     """A computed real outside the float fast path, in the '.11e' layout."""
     return format(significant_digits_from_real(value).to_decimal(), ".11e")
-
-
-def _kept_histograms(series, labels, years, values, exact, positions) -> dict[int, DigitHistogram]:
-    """Digit histograms of a variant's kept (years, values) at each position.
-
-    labels are the regime labels of every series point (or None). Kept
-    years are a subsequence of the series' strictly increasing years, so
-    each one's label is found by bisection when some points were dropped.
-    """
-    if labels is not None and len(years) != len(labels):
-        all_years = series.years
-        labels = [labels[bisect_left(all_years, year)] for year in years]
-    digit_map = digits_of_points(values, exact, positions)
-    return {k: DigitHistogram.from_digits(k, digit_map[k], labels) for k in positions}
-
-
-def run_battery(series: TimeSeries, transform: TransformKind | None = None,
-                regimes: RegimeSpec | None = None) -> BatteryResult:
-    """Run the four-test grid on the raw series and, when a non-identity
-    transform is given, on the transformed series as well.
-
-    Transform rejections are reported as exclusion counts; a transform
-    that excludes every point raises EmptySeriesError.
-    """
-    series.require_nonempty()
-    regime_labels = partition_series(series, regimes).labels if regimes is not None else None
-    kinds = [TransformKind.identity()]
-    if transform is not None and transform.name is not TransformName.IDENTITY:
-        kinds.append(transform)
-
-    variants: dict[str, VariantBattery] = {}
-    for kind in kinds:
-        outcome = apply_transform(series, kind, regimes)
-        years, values = outcome.kept()
-        if not values:
-            raise EmptySeriesError(
-                f"transform {kind.variant_label()} excluded every point "
-                f"({outcome.excluded_for_analysis} of {len(series)})"
-            )
-        hists = _kept_histograms(series, regime_labels, years, values, outcome.exact, (1, 2))
-        variants[kind.variant_label()] = VariantBattery(
-            variant=kind.variant_label(),
-            excluded=outcome.excluded_for_analysis,
-            histograms=hists,
-            tests=battery_on_histograms(hists[1], hists[2]),
-        )
-    return BatteryResult(label=series.label, variants=variants)

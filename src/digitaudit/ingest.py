@@ -65,6 +65,7 @@ def load_csv(path, year_column: str = "year", value_columns=None) -> LoadResult:
             missing = [c for c in value_columns if c not in header]
             if missing:
                 raise IngestError(f"{path}: columns not in header: {missing}")
+        value_columns = list(dict.fromkeys(value_columns))
         if not value_columns:
             raise IngestError(f"{path}: no value columns to load")
 

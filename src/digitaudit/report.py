@@ -5,6 +5,8 @@ for positions 1-4 (with regime breakdown), the four-test chi-square grid
 on positions 1 and 2, and an imperfect-law fit of the first-digit
 histogram. Results are written as one structured key-value text document
 plus plot-ready histogram CSVs (header: digit,regime,position,count).
+The library's run_battery runs the same per-variant step at positions 1
+and 2, on the raw series and one transform, without the fit.
 
 Reports are deterministic: identical input and configuration produce
 byte-identical output. Nothing time- or environment-dependent is
@@ -15,15 +17,16 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 
 from . import __version__ as _version
-from .errors import DomainError
-from .gof_tests import DigitHistogram, GofResult, _kept_histograms, battery_on_histograms
+from .errors import ConfigError, DomainError, EmptySeriesError
+from .gof_tests import DigitHistogram, GofResult, battery_on_histograms, digits_of_points
 from .imperfect_fit import ImperfectFitResult, fit_imperfect
 from .ingest import load_csv, load_regimes
 from .series import Partition, RegimeSpec, TimeSeries, partition as partition_series
-from .transforms import TransformKind, apply_transform
+from .transforms import TransformKind, TransformName, apply_transform
 
 HISTOGRAM_POSITIONS = (1, 2, 3, 4)
 HISTOGRAM_CSV_HEADER = "digit,regime,position,count"
@@ -53,7 +56,7 @@ class VariantAudit:
     excluded: int
     histograms: dict[int, DigitHistogram]
     tests: dict[str, GofResult] | None
-    fit: ImperfectFitResult | None
+    fit: ImperfectFitResult | None = None
     fit_note: str | None = None
     skipped_reason: str | None = None
 
@@ -76,51 +79,102 @@ class AuditReport:
         return render_report(self)
 
 
+@dataclass(frozen=True)
+class BatteryResult:
+    """Raw-and-transformed test grids for one series."""
+
+    label: str
+    variants: dict[str, VariantAudit]
+
+
+def _variant(series: TimeSeries, labels, kind: TransformKind, regimes: RegimeSpec | None,
+             positions) -> VariantAudit:
+    """Histograms and the four-test grid of one transform of a series, whose
+    points carry the regime labels given (or None); skipped_reason is set,
+    and histograms and tests are empty, when the transform excludes every point.
+    """
+    outcome = apply_transform(series, kind, regimes)
+    years, values = outcome.kept()
+    hists = {}
+    if values:
+        hists = _kept_histograms(series, labels, years, values, outcome.exact, positions)
+    return VariantAudit(
+        variant=kind.variant_label(),
+        analyzed=len(values),
+        excluded=outcome.excluded_for_analysis,
+        histograms=hists,
+        tests=battery_on_histograms(hists[1], hists[2]) if values else None,
+        skipped_reason=None if values else "all values excluded by transform",
+    )
+
+
+def _kept_histograms(series, labels, years, values, exact, positions) -> dict[int, DigitHistogram]:
+    """Digit histograms of a variant's kept (years, values) at each position.
+
+    labels are the regime labels of every series point (or None). Kept
+    years are a subsequence of the series' strictly increasing years, so
+    each one's label is found by bisection when some points were dropped.
+    """
+    if labels is not None and len(years) != len(labels):
+        all_years = series.years
+        labels = [labels[bisect_left(all_years, year)] for year in years]
+    digit_map = digits_of_points(values, exact, positions)
+    return {k: DigitHistogram.from_digits(k, digit_map[k], labels) for k in positions}
+
+
+def _with_fit(variant: VariantAudit) -> VariantAudit:
+    """The variant with its first-digit imperfect-law fit, or the reason it has none."""
+    if variant.skipped_reason:
+        return variant
+    first = variant.histograms[1]
+    if first.total < 9:
+        return replace(variant, fit_note="skipped: fewer than 9 analyzable points")
+    return replace(variant, fit=fit_imperfect(first))
+
+
 def audit_series(series: TimeSeries, transforms, regimes: RegimeSpec | None = None,
                  rows_skipped: int = 0) -> SeriesAudit:
     """Audit one series under every configured transform."""
     series.require_nonempty()
     part = partition_series(series, regimes) if regimes is not None else None
     labels = part.labels if part is not None else None
-
-    variants = []
-    for kind in transforms:
-        outcome = apply_transform(series, kind, regimes)
-        years, values = outcome.kept()
-        excluded = outcome.excluded_for_analysis
-        if not values:
-            variants.append(VariantAudit(
-                variant=kind.variant_label(),
-                analyzed=0,
-                excluded=excluded,
-                histograms={},
-                tests=None,
-                fit=None,
-                skipped_reason="all values excluded by transform",
-            ))
-            continue
-        hists = _kept_histograms(series, labels, years, values, outcome.exact, HISTOGRAM_POSITIONS)
-        fit, fit_note = None, None
-        if hists[1].total >= 9:
-            fit = fit_imperfect(hists[1])
-        else:
-            fit_note = "skipped: fewer than 9 analyzable points"
-        variants.append(VariantAudit(
-            variant=kind.variant_label(),
-            analyzed=len(values),
-            excluded=excluded,
-            histograms=hists,
-            tests=battery_on_histograms(hists[1], hists[2]),
-            fit=fit,
-            fit_note=fit_note,
-        ))
     return SeriesAudit(
         label=series.label,
         n_points=len(series),
         rows_skipped=rows_skipped,
         partition=part,
-        variants=tuple(variants),
+        variants=tuple(
+            _with_fit(_variant(series, labels, kind, regimes, HISTOGRAM_POSITIONS))
+            for kind in transforms
+        ),
     )
+
+
+def run_battery(series: TimeSeries, transform: TransformKind | None = None,
+                regimes: RegimeSpec | None = None) -> BatteryResult:
+    """Run the four-test grid on the raw series and, when a non-identity
+    transform is given, on the transformed series as well; each variant is
+    a VariantAudit with histograms at positions 1 and 2 and no fit.
+
+    Transform rejections are reported as exclusion counts; a transform
+    that excludes every point raises EmptySeriesError.
+    """
+    series.require_nonempty()
+    labels = partition_series(series, regimes).labels if regimes is not None else None
+    kinds = [TransformKind.identity()]
+    if transform is not None and transform.name is not TransformName.IDENTITY:
+        kinds.append(transform)
+
+    variants: dict[str, VariantAudit] = {}
+    for kind in kinds:
+        variant = _variant(series, labels, kind, regimes, (1, 2))
+        if variant.skipped_reason:
+            raise EmptySeriesError(
+                f"transform {variant.variant} excluded every point "
+                f"({variant.excluded} of {len(series)})"
+            )
+        variants[variant.variant] = variant
+    return BatteryResult(label=series.label, variants=variants)
 
 
 def run_audit(config: AuditConfig) -> AuditReport:
@@ -128,6 +182,17 @@ def run_audit(config: AuditConfig) -> AuditReport:
     loaded = load_csv(config.input_path, config.year_column, config.columns)
     regimes = load_regimes(config.regimes_path) if config.regimes_path else None
     skipped = loaded.skipped_map()
+    # every histogram file name is checked before any audit work or output
+    owners: dict[str, tuple[str, str]] = {}
+    for series in loaded.series:
+        for kind in config.transforms:
+            pair = (series.label, kind.variant_label())
+            name = f"hist_{_slug(pair[0])}_{_slug(pair[1])}.csv"
+            if name in owners:
+                raise ConfigError(f"series {owners[name][0]!r} variant {owners[name][1]!r} and "
+                                  f"series {pair[0]!r} variant {pair[1]!r} would both write {name}")
+            owners[name] = pair
+    csv_names = {pair: name for name, pair in owners.items()}
 
     audits = tuple(
         audit_series(series, config.transforms, regimes, rows_skipped=skipped[series.label])
@@ -144,8 +209,7 @@ def run_audit(config: AuditConfig) -> AuditReport:
             if not variant.histograms:
                 continue
             csv_path = os.path.join(
-                config.output_dir,
-                f"hist_{_slug(series_audit.label)}_{_slug(variant.variant)}.csv",
+                config.output_dir, csv_names[series_audit.label, variant.variant]
             )
             with open(csv_path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(render_histogram_csv(variant, regimes))

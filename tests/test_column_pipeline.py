@@ -19,16 +19,15 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from digitaudit.digit_extract import significant_digits, significant_digits_from_real
 from digitaudit.errors import ConfigError, DomainError, EmptySeriesError, NonPositiveImageError
-from digitaudit.gof_tests import (
+from digitaudit.gof_tests import DigitHistogram, battery_on_histograms, digits_of_points
+from digitaudit.report import (
+    AuditConfig,
     BatteryResult,
-    DigitHistogram,
-    VariantBattery,
+    VariantAudit,
     _kept_histograms,
-    battery_on_histograms,
-    digits_of_points,
+    run_audit,
     run_battery,
 )
-from digitaudit.report import AuditConfig, run_audit
 from digitaudit.series import Partition, RegimeSpec, TimeSeries, partition
 from digitaudit.transforms import (
     ExcludedPoint,
@@ -167,11 +166,13 @@ def point_run_battery(series, transform=None, regimes=None):
                 f"({outcome.excluded_for_analysis} of {len(series)})"
             )
         hists = point_kept_histograms(series, labels, kept, outcome.exact, (1, 2))
-        variants[kind.variant_label()] = VariantBattery(
+        variants[kind.variant_label()] = VariantAudit(
             variant=kind.variant_label(),
+            analyzed=len(kept),
             excluded=outcome.excluded_for_analysis,
             histograms=hists,
             tests=battery_on_histograms(hists[1], hists[2]),
+            fit=None,
         )
     return BatteryResult(label=series.label, variants=variants)
 

@@ -13,8 +13,8 @@ from digitaudit.gof_tests import (
     battery_on_histograms,
     chi2_benford,
     chi2_uniform,
-    run_battery,
 )
+from digitaudit.report import run_battery
 from digitaudit.series import TimeSeries
 from digitaudit.transforms import TransformKind
 

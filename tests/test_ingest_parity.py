@@ -38,6 +38,7 @@ def dictreader_load_csv(path, year_column="year", value_columns=None):
             missing = [c for c in value_columns if c not in header]
             if missing:
                 raise IngestError(f"{path}: columns not in header: {missing}")
+        value_columns = list(dict.fromkeys(value_columns))
         if not value_columns:
             raise IngestError(f"{path}: no value columns to load")
 

@@ -26,6 +26,19 @@ def test_law_import_loads_only_the_law_module():
     assert dataclasses_loaded == "False"
 
 
+def test_gof_tests_does_not_load_the_transform_layer():
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "import digitaudit.gof_tests\n"
+        "print('digitaudit.transforms' in sys.modules, 'digitaudit.series' in sys.modules)\n"
+        "import digitaudit.report\n"
+        "print(digitaudit.run_battery is digitaudit.report.run_battery)\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines() == ["False False", "True"]
+
+
 def test_every_public_name_is_its_home_object():
     assert len(digitaudit.__all__) == len(set(digitaudit.__all__))
     for name in digitaudit.__all__:

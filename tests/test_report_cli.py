@@ -206,6 +206,33 @@ class TestCli:
         assert "'a' is used twice" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("header, transforms, message", [
+        ("year,income", "identity,identity",
+         "series 'income' variant 'raw' and series 'income' variant 'raw' "
+         "would both write hist_income_raw.csv"),
+        ("year,income", "theil,theil", "would both write hist_income_theil-natural.csv"),
+        ("year,a b,a-b", "identity", "series 'a b' variant 'raw' and series 'a-b' variant 'raw'"),
+    ], ids=["identity-twice", "theil-twice", "slug-collision"])
+    def test_colliding_output_names_are_config_error(self, tmp_path, capsys, header,
+                                                     transforms, message):
+        data = tmp_path / "data.csv"
+        data.write_text(header + "\n" + "".join(f"{y},{10 * y},{20 * y}\n" for y in range(1, 21)),
+                        encoding="utf-8")
+        assert main(["analyze", "--input", str(data), "--outdir", str(tmp_path / "o"),
+                     "--transforms", transforms]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_label_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("year,\n" + "".join(f"{y},{10 * y}\n" for y in range(1, 21)),
+                        encoding="utf-8")
+        outdir = tmp_path / "o"
+        outdir.mkdir()
+        assert main(["analyze", "--input", str(data), "--outdir", str(outdir)]) == 4
+        assert "cannot derive a file name from label ''" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_unknown_transform_is_config_error(self, budget_path, tmp_path):
         assert main(["analyze", "--input", budget_path, "--outdir", str(tmp_path / "o"),
                      "--transforms", "sqrt"]) == 2

@@ -156,6 +156,14 @@ class TestLoadCsv:
         series = load_csv(path, value_columns=("a",)).series[0]
         assert series.years == (1, 2)
 
+    @pytest.mark.parametrize("columns", [None, ("a", "a")])
+    def test_repeated_value_column_loads_once(self, tmp_path, columns):
+        path = self.write(tmp_path, "year,a,a\n1,10,11\n2,20,21\n")
+        result = load_csv(path, value_columns=columns)
+        assert [s.label for s in result.series] == ["a"]
+        assert result.skipped == (("a", 0),)
+        assert result.series[0].values == (Decimal("11"), Decimal("21"))
+
     def test_regime_line_number_counts_blank_lines(self, tmp_path):
         path = self.write(tmp_path, "name,start_year,end_year\nA,1,2\n\nB,x,4\n", "regimes.csv")
         with pytest.raises(IngestError, match="line 4: bad regime row"):
